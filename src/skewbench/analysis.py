@@ -474,10 +474,16 @@ def pearson(x, y) -> float:
         raise ValueError("need at least 2 points")
     dx = x - x.mean()
     dy = y - y.mean()
+    span_x = np.abs(dx).max()
+    span_y = np.abs(dy).max()
+    if span_x == 0 or span_y == 0:
+        raise ValueError("correlation undefined for a constant vector")
+    # unit-scaled deviations keep the dot products clear of float64
+    # underflow and overflow at any input magnitude
+    dx /= span_x
+    dy /= span_y
     sx = math.sqrt(float(dx @ dx))
     sy = math.sqrt(float(dy @ dy))
-    if sx == 0 or sy == 0:
-        raise ValueError("correlation undefined for a constant vector")
     return float(np.clip(dx @ dy / (sx * sy), -1.0, 1.0))
 
 

@@ -1,9 +1,11 @@
 """Distance-based and tree-based classifiers for device identification.
 
 Self-contained numpy implementations so the numeric core carries no model
-dependencies: k-nearest-neighbors, a CART decision tree (Gini impurity),
-and a bootstrap-aggregated random forest. All are deterministic under their
-seed; vote and split ties resolve to the lowest class code.
+dependencies: k-nearest-neighbors, an exact CART decision tree (Gini
+impurity), and a bootstrap-aggregated random forest. All are deterministic
+under their seed; vote and leaf-majority ties resolve to the lowest class
+code, split ties to the first candidate feature drawn and the lowest
+threshold.
 """
 
 from __future__ import annotations
@@ -55,7 +57,15 @@ class KNearestNeighbors:
 
 
 class DecisionTree:
-    """CART with Gini impurity; grows until pure unless depth-limited."""
+    """Exact CART with Gini impurity; grows until pure unless depth-limited.
+
+    Every threshold between two distinct values of every candidate feature
+    is scored. Each node sorts its block of candidate columns once, and the
+    Gini sums of squared class counts come from integer running sums over
+    each sample's rank within its class, so a node costs one sort of an
+    n_node x candidates block plus O(n_node * candidates) integer work,
+    with no one-hot class counts.
+    """
 
     def __init__(
         self,
@@ -81,7 +91,10 @@ class DecisionTree:
         rng = np.random.default_rng(self.seed)
         n, d = X.shape
         m = self.max_features or d
-        eye = np.eye(n_classes)
+        positions = np.arange(n)[:, None]
+        columns = np.arange(min(m, d))
+        # narrow class codes let the stable class sort below run as a radix sort
+        codes = codes.astype(np.min_scalar_type(n_classes - 1))
 
         feature: list[int] = []
         threshold: list[float] = []
@@ -116,48 +129,52 @@ class DecisionTree:
                 continue
 
             candidates = rng.choice(d, size=min(m, d), replace=False) if m < d else np.arange(d)
-            best_score = np.inf
-            best_feature = -1
-            best_threshold = 0.0
-            for f in candidates:
-                xs = X[idx, f]
-                order = np.argsort(xs, kind="stable")
-                xs_sorted = xs[order]
-                valid = xs_sorted[:-1] < xs_sorted[1:]
-                if not valid.any():
-                    continue
-                cum = eye[y_node[order]].cumsum(axis=0)
-                left_counts = cum[:-1]
-                right_counts = cum[-1] - left_counts
-                nl = np.arange(1, n_node, dtype=np.float64)
-                nr = n_node - nl
-                # weighted Gini in count units: n_side - sum(counts^2)/n_side
-                score = (
-                    nl
-                    - np.einsum("ij,ij->i", left_counts, left_counts) / nl
-                    + nr
-                    - np.einsum("ij,ij->i", right_counts, right_counts) / nr
-                )
-                score[~valid] = np.inf
-                if self.min_samples_leaf > 1:
-                    bad = (nl < self.min_samples_leaf) | (nr < self.min_samples_leaf)
-                    score[bad] = np.inf
-                pos = int(score.argmin())
-                if score[pos] < best_score:
-                    thr = (xs_sorted[pos] + xs_sorted[pos + 1]) / 2.0
-                    if thr >= xs_sorted[pos + 1]:
-                        thr = xs_sorted[pos]
-                    best_score = float(score[pos])
-                    best_feature = int(f)
-                    best_threshold = float(thr)
+            block = X[idx[:, None], candidates]
+            # Scores are read only between distinct values, where the class
+            # counts on each side do not depend on how equal values were
+            # ordered, so this sort need not be stable.
+            order = np.argsort(block, axis=0)
+            xs_sorted = block[order, columns]
+            valid = xs_sorted[:-1] < xs_sorted[1:]
+            # rank: each sorted sample's rank among the earlier samples of its
+            # class. Moving a sample of rank r to the left side raises the
+            # left sum of squared class counts by 2r + 1; the right sum is
+            # sum(counts^2) - 2 sum(counts * left_counts) + left sum. Both are
+            # exact integers, so every score is exact.
+            ys = y_node[order]
+            counts = np.bincount(y_node, minlength=n_classes)
+            by_class = np.argsort(ys, axis=0, kind="stable")
+            class_start = np.cumsum(counts) - counts
+            rank = np.empty(ys.shape, dtype=np.int64)
+            rank[by_class, columns] = positions[:n_node] - class_start[ys[by_class, columns]]
+            sum_sq = int(np.square(counts).sum())
+            left_sq = np.cumsum(2 * rank[:-1] + 1, axis=0)
+            right_sq = sum_sq - 2 * np.cumsum(counts[ys[:-1]], axis=0) + left_sq
+            nl = np.arange(1, n_node, dtype=np.float64)[:, None]
+            nr = n_node - nl
+            # weighted Gini in count units: n_side - sum(counts^2)/n_side
+            score = nl - left_sq / nl + nr - right_sq / nr
+            score[~valid] = np.inf
+            if self.min_samples_leaf > 1:
+                # each side keeps at least min_samples_leaf samples
+                score[: self.min_samples_leaf - 1] = np.inf
+                score[n_node - self.min_samples_leaf :] = np.inf
+            # the first minimum wins, within a feature and across candidates
+            pos = score.argmin(axis=0)
+            col = int(score[pos, columns].argmin())
+            pos = int(pos[col])
+            best_score = float(score[pos, col])
 
-            parent_score = n_node - float(
-                np.square(np.bincount(y_node, minlength=n_classes)).sum()
-            ) / n_node
-            if best_feature < 0 or best_score >= parent_score - 1e-12:
+            parent_score = n_node - float(sum_sq) / n_node
+            if best_score >= parent_score - 1e-12:
                 make_leaf(node, y_node)
                 continue
 
+            best_feature = int(candidates[col])
+            best_threshold = (xs_sorted[pos, col] + xs_sorted[pos + 1, col]) / 2.0
+            if best_threshold >= xs_sorted[pos + 1, col]:
+                best_threshold = xs_sorted[pos, col]
+            best_threshold = float(best_threshold)
             best_mask = X[idx, best_feature] <= best_threshold
             feature[node] = best_feature
             threshold[node] = best_threshold

@@ -318,7 +318,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (CommandError, DegradedEnvironment, SessionError, schema.DatasetError, ValueError) as exc:
+    except (
+        CommandError,
+        DegradedEnvironment,
+        SessionError,
+        schema.DatasetError,
+        ValueError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

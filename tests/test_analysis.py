@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from skewbench import analysis, schema
@@ -27,6 +27,7 @@ from skewbench.analysis import (
     split,
     train_classifier,
 )
+from skewbench.classifiers import DecisionTree, RandomForest
 from skewbench.simulator import (
     FarmConfig,
     TempProfile,
@@ -47,6 +48,134 @@ def labeled(values, labels, columns=None) -> FeatureMatrix:
     values = np.asarray(values, dtype=float)
     columns = tuple(columns or [f"f{i}" for i in range(values.shape[1])])
     return FeatureMatrix(values, columns, np.asarray(labels))
+
+
+def reference_fit_codes(self, X: np.ndarray, codes: np.ndarray, n_classes: int) -> None:
+    """Per-feature CART splitter with one-hot class counts: the reference
+    that DecisionTree._fit_codes must reproduce array for array."""
+    self._n_classes = n_classes
+    rng = np.random.default_rng(self.seed)
+    n, d = X.shape
+    m = self.max_features or d
+    eye = np.eye(n_classes)
+
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    leaf_value: list[int] = []
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        leaf_value.append(-1)
+        return len(feature) - 1
+
+    def make_leaf(node: int, y_node: np.ndarray) -> None:
+        leaf_value[node] = int(np.bincount(y_node, minlength=n_classes).argmax())
+
+    root = new_node()
+    stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        y_node = codes[idx]
+        n_node = len(idx)
+        first = y_node[0]
+        if (
+            n_node < 2 * self.min_samples_leaf
+            or (self.max_depth is not None and depth >= self.max_depth)
+            or np.all(y_node == first)
+        ):
+            make_leaf(node, y_node)
+            continue
+
+        candidates = rng.choice(d, size=min(m, d), replace=False) if m < d else np.arange(d)
+        best_score = np.inf
+        best_feature = -1
+        best_threshold = 0.0
+        for f in candidates:
+            xs = X[idx, f]
+            order = np.argsort(xs, kind="stable")
+            xs_sorted = xs[order]
+            valid = xs_sorted[:-1] < xs_sorted[1:]
+            if not valid.any():
+                continue
+            cum = eye[y_node[order]].cumsum(axis=0)
+            left_counts = cum[:-1]
+            right_counts = cum[-1] - left_counts
+            nl = np.arange(1, n_node, dtype=np.float64)
+            nr = n_node - nl
+            score = (
+                nl
+                - np.einsum("ij,ij->i", left_counts, left_counts) / nl
+                + nr
+                - np.einsum("ij,ij->i", right_counts, right_counts) / nr
+            )
+            score[~valid] = np.inf
+            if self.min_samples_leaf > 1:
+                bad = (nl < self.min_samples_leaf) | (nr < self.min_samples_leaf)
+                score[bad] = np.inf
+            pos = int(score.argmin())
+            if score[pos] < best_score:
+                thr = (xs_sorted[pos] + xs_sorted[pos + 1]) / 2.0
+                if thr >= xs_sorted[pos + 1]:
+                    thr = xs_sorted[pos]
+                best_score = float(score[pos])
+                best_feature = int(f)
+                best_threshold = float(thr)
+
+        parent_score = n_node - float(
+            np.square(np.bincount(y_node, minlength=n_classes)).sum()
+        ) / n_node
+        if best_feature < 0 or best_score >= parent_score - 1e-12:
+            make_leaf(node, y_node)
+            continue
+
+        best_mask = X[idx, best_feature] <= best_threshold
+        feature[node] = best_feature
+        threshold[node] = best_threshold
+        left_child = new_node()
+        right_child = new_node()
+        left[node] = left_child
+        right[node] = right_child
+        stack.append((left_child, idx[best_mask], depth + 1))
+        stack.append((right_child, idx[~best_mask], depth + 1))
+
+    self._feature = np.array(feature)
+    self._threshold = np.array(threshold)
+    self._left = np.array(left)
+    self._right = np.array(right)
+    self._leaf_value = np.array(leaf_value)
+
+
+TREE_ARRAYS = ("_feature", "_threshold", "_left", "_right", "_leaf_value")
+
+
+def assert_same_tree(tree: DecisionTree, reference: DecisionTree) -> None:
+    for name in TREE_ARRAYS:
+        got, want = getattr(tree, name), getattr(reference, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@st.composite
+def tie_heavy_tree_case(draw):
+    """Few distinct integer values per feature, so thresholds tie often; the
+    scale puts them at 1e-300 or among the subnormals, where a midpoint can
+    round onto the upper value."""
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d), min_size=2, max_size=30))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=len(rows), max_size=len(rows)))
+    assume(len(set(labels)) >= 2)
+    params = dict(
+        max_depth=draw(st.none() | st.integers(0, 4)),
+        min_samples_leaf=draw(st.integers(0, 4)),
+        max_features=draw(st.none() | st.integers(1, d)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return rows, labels, draw(st.sampled_from([1e-300, 5e-324])), params
 
 
 class TestBuildMatrix:
@@ -334,6 +463,43 @@ class TestClassifiers:
             train_classifier("knn", m, {"gamma": 1})
 
 
+class TestTreeMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_tree_case())
+    # a constant column: no split is valid
+    @example(([[0], [0], [0]], [0, 1, 0], 1e-300, dict(seed=0)))
+    # identical columns: the first candidate feature wins the tie
+    @example(([[0, 0], [1, 1], [0, 0], [1, 1]], [0, 1, 0, 1], 1e-300, dict(seed=0)))
+    # min_samples_leaf rules out every split but the middle one
+    @example(([[0], [1], [2], [3]], [0, 1, 0, 1], 1e-300, dict(min_samples_leaf=2, seed=0)))
+    # the midpoint of adjacent subnormals rounds onto the upper value
+    @example(([[1], [2], [2], [3]], [0, 1, 1, 0], 5e-324, dict(seed=0)))
+    # sampled candidates, a depth limit and a leaf-size floor at once
+    @example((
+        [[3, 0, 1], [2, 2, 0], [0, 1, 3], [1, 3, 2], [3, 3, 0], [0, 0, 1], [2, 1, 1], [1, 2, 3]],
+        [0, 1, 2, 1, 0, 2, 1, 0],
+        1e-300,
+        dict(max_depth=2, min_samples_leaf=2, max_features=1, seed=7),
+    ))
+    def test_tree_arrays_equal(self, case):
+        rows, labels, scale, params = case
+        X = np.asarray(rows, dtype=np.float64) * scale
+        codes = np.unique(labels, return_inverse=True)[1]
+        tree = DecisionTree(**params).fit(X, labels)
+        reference = DecisionTree(**params)
+        reference_fit_codes(reference, X, codes, int(codes.max()) + 1)
+        assert_same_tree(tree, reference)
+
+    def test_forest_trees_equal_on_fleet(self, monkeypatch):
+        m = identification_matrix(tiny_dataset(n_devices=6, n_samples=40))
+        forest = RandomForest(n_estimators=3, seed=11).fit(m.values, m.labels)
+        monkeypatch.setattr(DecisionTree, "_fit_codes", reference_fit_codes)
+        reference = RandomForest(n_estimators=3, seed=11).fit(m.values, m.labels)
+        for tree, reference_tree in zip(forest._trees, reference._trees, strict=True):
+            assert_same_tree(tree, reference_tree)
+        assert np.array_equal(forest.predict(m.values), reference.predict(m.values))
+
+
 class TestEvaluate:
     def test_perfect_predictions(self):
         report = classification_report(["a", "b", "a"], ["a", "b", "a"], ["a", "b"])
@@ -441,6 +607,8 @@ class TestPearson:
         st.floats(min_value=-50.0, max_value=50.0),
         st.booleans(),
     )
+    # deviations of ~1e-160 square into float64 subnormals
+    @example(xs=[0.0, 0.0, 1.66e-160], a=0.25, b=0.0, negate=False)
     def test_scale_invariance(self, xs, a, b, negate):
         x = np.array(xs)
         rng = np.random.default_rng(1)
@@ -448,6 +616,8 @@ class TestPearson:
         if np.ptp(x) == 0 or np.ptp(y) == 0:
             return
         scale = -a if negate else a
+        # scale*x + b can round to a constant vector, where pearson must raise
+        assume(np.ptp(scale * x + b) > 0)
         base = pearson(x, y)
         scaled = pearson(scale * x + b, y)
         assert scaled == pytest.approx(math.copysign(1, scale) * base, abs=1e-9)

@@ -84,6 +84,15 @@ class TestSimulate:
         assert code == 1
         assert "nope.json" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_1_without_traceback(self, tmp_path, capsys, tiny_farm_config):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        code = main(["simulate", "--config", str(tiny_farm_config), "--out", str(blocker / "fleet")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestCollect:
     def test_simulated_session_three_rows(self, tmp_path):
