@@ -118,9 +118,17 @@ def minmax_fit_transform(m: FeatureMatrix) -> tuple[FeatureMatrix, Normalization
 
 
 def minmax_apply(m: FeatureMatrix, params: NormalizationParams) -> FeatureMatrix:
-    span = params.x_max - params.x_min
+    # A column whose span overflows float64 is mapped at half scale, where
+    # neither the span nor any difference overflows. Every other column is
+    # scaled by 1.0, which leaves its values bit-identical.
+    with np.errstate(over="ignore"):
+        scale = np.where(np.isfinite(params.x_max - params.x_min), 1.0, 0.5)
+    x_min = params.x_min * scale
+    span = params.x_max * scale - x_min
     safe = np.where(span == 0, 1.0, span)
-    values = (m.values - params.x_min) / safe
+    values = m.values * scale  # the only matrix-sized allocation: the rest is in place
+    values -= x_min
+    values /= safe
     values[:, span == 0] = 0.0
     return FeatureMatrix(values, m.columns, m.labels)
 

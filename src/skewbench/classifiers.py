@@ -20,6 +20,13 @@ def _encode_labels(y) -> tuple[np.ndarray, np.ndarray]:
     return classes, codes
 
 
+def _check_tree_params(max_depth: int | None, min_samples_leaf: int) -> None:
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0 or None, got {max_depth}")
+    if min_samples_leaf < 1:
+        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+
+
 class KNearestNeighbors:
     """Plain Euclidean kNN with majority vote."""
 
@@ -74,6 +81,9 @@ class DecisionTree:
         max_features: int | None = None,
         seed: int = 0,
     ):
+        _check_tree_params(max_depth, min_samples_leaf)
+        if max_features is not None and max_features < 1:
+            raise ValueError(f"max_features must be >= 1 or None, got {max_features}")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
@@ -222,7 +232,8 @@ class RandomForest:
         seed: int = 0,
     ):
         if n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
+            raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
+        _check_tree_params(max_depth, min_samples_leaf)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf

@@ -5,7 +5,10 @@ A session appends complete rows to the device's CSV until the configured
 sample count is reached, then stops; a supervisor loop restarts the process
 for the next session, which resets accumulated process noise the same way a
 device reboot would. Rows are written atomically (one write plus flush per
-sample), so a killed session always leaves a parseable file.
+sample), so a killed session always leaves a parseable file. A row torn by
+power loss mid-write is cut off at the next session start and kept in
+``<file>.torn`` (the same for ``MAC-Model.txt``), and a session appends only
+to a CSV whose header is the 218-column schema.
 
 The preflight only observes the host; it never mutates system state.
 Applying the stability measures (fixed frequency governor, elevated
@@ -436,9 +439,51 @@ def _ensure_mac_model_entry(directory: Path, mac: str, model: str) -> None:
         fh.write(f"{mac},{model}\n")
 
 
-def _format_row(sample: schema.SampleVector) -> str:
-    cells = ",".join(schema.format_value(v) for v in sample.values)
-    return f"{cells},{sample.label}\n"
+def _repair_torn_tail(path: Path, log: SessionLog) -> None:
+    """Cut ``path`` back to its last newline if a write was torn there.
+
+    The cut bytes are appended, as one line, to ``<name>.torn`` beside it,
+    and a ``repaired_tail`` event is journaled. Appending to a torn file
+    would glue the next row onto the fragment and make the file unreadable.
+    """
+    if not path.exists():
+        return
+    with open(path, "rb+") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        keep = pos = end
+        while pos > 0:
+            start = max(0, pos - 4096)
+            fh.seek(start)
+            newline = fh.read(pos - start).rfind(b"\n")
+            if newline >= 0:
+                keep = start + newline + 1
+                break
+            pos = keep = start
+        if keep == end:
+            return
+        fh.seek(keep)
+        fragment = fh.read()
+        torn = path.with_name(path.name + ".torn")
+        with open(torn, "ab") as out:
+            out.write(fragment + b"\n")
+            out.flush()
+            os.fsync(out.fileno())
+        fh.truncate(keep)
+        fh.flush()
+        os.fsync(fh.fileno())
+    log.add("repaired_tail", file=path.name, kept_bytes=keep, torn_bytes=end - keep,
+            torn_file=torn.name)
+
+
+def _check_header(csv_path: Path) -> None:
+    """Refuse to append to a device CSV whose header is not the 218-column one."""
+    with open(csv_path, "rb") as fh:
+        header = fh.readline().rstrip(b"\r\n").decode("utf-8", errors="replace")
+    if header != ",".join(schema.DEFAULT_SCHEMA.columns):
+        raise SessionError(
+            f"{csv_path}: existing header is not the {schema.DEFAULT_SCHEMA.n_columns}-column "
+            "schema; refusing to append"
+        )
 
 
 def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionResult:
@@ -484,8 +529,12 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
         for observer_id in observers:
             log.add("bracket_overhead", **adapter.registry.measure_overhead(observer_id))
 
+        _repair_torn_tail(config.working_dir / schema.MAC_MODEL_FILENAME, log)
         _ensure_mac_model_entry(config.working_dir, config.device_mac, config.device_model)
+        _repair_torn_tail(csv_path, log)
         new_file = not csv_path.exists() or csv_path.stat().st_size == 0
+        if not new_file:
+            _check_header(csv_path)
         with open(csv_path, "a", encoding="utf-8", newline="") as fh:
             if new_file:
                 fh.write(",".join(schema.DEFAULT_SCHEMA.columns) + "\n")
@@ -503,7 +552,7 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
                     abort_reason = f"sample {index}: {exc}"
                     log.add("sample", index=index, ok=False, error=str(exc))
                     break
-                fh.write(_format_row(sample))
+                fh.write(schema.format_rows(sample.values[None, :], sample.label))
                 fh.flush()
                 rows_written += 1
                 log.add("sample", index=index, ok=True, timestamp=sample.timestamp)

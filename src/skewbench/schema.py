@@ -6,8 +6,12 @@ hardware model tag. Every CSV row is one sample: Unix timestamp, core
 temperature, 215 performance features, and the MAC label, in a fixed order
 of 218 columns.
 
-Numeric cells are written with ``repr`` so floats round-trip exactly and a
-re-write of a freshly read dataset is byte-identical.
+The row bytes have one definition, :func:`format_rows`: each numeric cell
+is ``repr`` of its float64 value, so floats round-trip exactly and a
+re-write of a freshly read dataset is byte-identical. Bulk writes and the
+collector's one-row appends both go through it. The reader parses a whole
+device file with one ``float`` pass and falls back to row-by-row parsing
+only to name the first bad row and cell.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -218,15 +223,6 @@ class Dataset:
     def rows(self, mac: str) -> np.ndarray:
         return self.samples.get(mac, np.empty((0, self.schema.n_numeric)))
 
-    def sample_vectors(self, mac: str) -> list[SampleVector]:
-        return [SampleVector(row.copy(), mac) for row in self.rows(mac)]
-
-    def model_of(self, mac: str) -> str:
-        for dev in self.devices:
-            if dev.mac == mac:
-                return dev.model
-        raise KeyError(mac)
-
     @property
     def n_samples(self) -> int:
         return sum(len(rows) for rows in self.samples.values())
@@ -243,6 +239,21 @@ class Dataset:
 def format_value(v: float) -> str:
     """Shortest decimal representation that round-trips to the same float."""
     return repr(float(v))
+
+
+def format_rows(rows: np.ndarray, label: str) -> str:
+    """CSV lines for ``(n, n_numeric)`` rows, each ending in ``,<label>``
+    and a newline.
+
+    Every cell is :func:`format_value` of its value; ``tolist`` yields the
+    same Python floats that ``float`` would, without a call per cell.
+    """
+    tail = f",{label}\n"
+    # tolist per row: on the whole matrix it would hold a float object for
+    # every cell at once and raise peak memory.
+    return "".join(
+        [",".join(map(repr, row.tolist())) + tail for row in np.asarray(rows, dtype=np.float64)]
+    )
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:
@@ -266,10 +277,7 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
             path = directory / f"{dev.mac}.csv"
             rows = dataset.rows(dev.mac)
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(header + "\n")
-                for row in rows:
-                    cells = ",".join(format_value(v) for v in row)
-                    fh.write(f"{cells},{dev.mac}\n")
+                fh.write(header + "\n" + format_rows(rows, dev.mac))
             written.append(str(path))
     except OSError as exc:
         raise DatasetWriteError(
@@ -325,11 +333,30 @@ def _read_device_csv(path: Path, mac: str) -> tuple[np.ndarray | None, FeatureSc
         return None, None
     schema, has_header = _detect_schema(lines[0].split(","), path)
     data_lines = lines[1:] if has_header else lines
-    rows = np.empty((len(data_lines), schema.n_numeric))
-    start = 2 if has_header else 1
-    for i, line in enumerate(data_lines):
-        rows[i] = _parse_row(line.split(","), schema, mac, path, start + i)
+    rows = _parse_rows_fast(data_lines, schema, mac)
+    if rows is None:
+        # Some row is malformed: parse row by row so the first bad row, in
+        # file order, raises the error _parse_row defines for it.
+        rows = np.empty((len(data_lines), schema.n_numeric))
+        start = 2 if has_header else 1
+        for i, line in enumerate(data_lines):
+            rows[i] = _parse_row(line.split(","), schema, mac, path, start + i)
     return rows, schema
+
+
+def _parse_rows_fast(lines: list[str], schema: FeatureSchema, mac: str) -> np.ndarray | None:
+    """All rows in one ``float`` pass, or None if any row fails a check."""
+    commas = schema.n_columns - 1
+    if not all(ln.count(",") == commas and ln.rpartition(",")[2].lower() == mac for ln in lines):
+        return None
+    cells = chain.from_iterable(ln.split(",")[:-1] for ln in lines)
+    try:
+        values = np.fromiter(map(float, cells), np.float64, count=len(lines) * commas)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.reshape(len(lines), commas)
 
 
 def read_dataset(directory: str | Path) -> Dataset:

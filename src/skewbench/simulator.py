@@ -49,6 +49,9 @@ NON_SLEEP_KINDS = (
     "storage_write",
 )
 
+# Rows simulated per normal draw; any size gives the same stream and rows.
+SIMULATION_BLOCK_ROWS = 64
+
 CPU_SIM_SOURCE_ID = "cpu-sim"
 GPU_SIM_SOURCE_ID = "gpu-sim"
 TIMER_SIM_SOURCE_ID = "timer-sim"
@@ -207,7 +210,10 @@ def modeled_temperature(profile: TempProfile, t: float) -> float:
     return profile.mean_c + profile.daily_amplitude_c * math.sin(phase)
 
 
-def _expectation_vector(device: VirtualDevice, vectors: ModelVectors, temperature_c: float) -> np.ndarray:
+def _expectation_vector(
+    device: VirtualDevice, vectors: ModelVectors, temperature_c: float | np.ndarray
+) -> np.ndarray:
+    """Jitter-free feature values; an ``(n, 1)`` temperature column gives ``(n, 215)``."""
     rel = (device.gpu_skew_ppm - device.cpu_skew_ppm) * PPM
     shift = np.where(vectors.is_write, device.write_center_shift, 0.0)
     scale = 1.0 + rel + device.feature_offsets + shift
@@ -241,31 +247,36 @@ def sample_values(
     return temperature, np.maximum(np.rint(values), 1.0)
 
 
-def simulate_feature(device: VirtualDevice, column: str, t: float, rng: np.random.Generator) -> float:
-    """Single-feature draw; advances the generator by two normals."""
-    vectors = model_vectors(device.model)
-    z = rng.standard_normal()
-    temperature = modeled_temperature(device.model.temp_profile, t) + device.model.temp_profile.noise_sigma_c * z
-    i = schema.FEATURE_COLUMNS.index(column)
-    eps = rng.standard_normal()
-    value = _expectation_vector(device, vectors, temperature)[i] * (1.0 + vectors.jitter[i] * eps)
-    return float(max(np.rint(value), 1.0))
-
-
 def simulate_device_rows(
     device: VirtualDevice, n_samples: int, start_time: float
 ) -> np.ndarray:
-    """``(n, 217)`` numeric rows for one device: timestamp, temperature, features."""
+    """``(n, 217)`` numeric rows for one device: timestamp, temperature, features.
+
+    The same rows as calling :func:`sample_values` once per sample. Each
+    block of rows takes one ``(rows, 216)`` normal draw: column 0 is the
+    temperature noise and columns 1-215 the jitters, the order in which the
+    per-sample draws consume the stream.
+    """
     vectors = model_vectors(device.model)
     cost = vectors.sample_wallclock_s
+    profile = device.model.temp_profile
     rng = np.random.default_rng(device.rng_seed)
     rows = np.empty((n_samples, 2 + len(FEATURE_BINDINGS)))
-    for k in range(n_samples):
-        t = start_time + k * cost
-        temperature, values = sample_values(device, vectors, t, rng)
-        rows[k, 0] = t
-        rows[k, 1] = temperature
-        rows[k, 2:] = values
+    rows[:, 0] = [start_time + k * cost for k in range(n_samples)]
+    # scalar math.sin per row: np.sin may differ from it in the last ulp
+    rows[:, 1] = [modeled_temperature(profile, t) for t in rows[:, 0].tolist()]
+    # Blocks keep the temporaries small however many samples are asked for.
+    for lo in range(0, n_samples, SIMULATION_BLOCK_ROWS):
+        block = rows[lo : lo + SIMULATION_BLOCK_ROWS]
+        draws = rng.standard_normal((len(block), 1 + len(FEATURE_BINDINGS)))
+        block[:, 1] += profile.noise_sigma_c * draws[:, 0]
+        # in place, the same operations in the same order as sample_values
+        jitter = draws[:, 1:]
+        jitter *= vectors.jitter
+        jitter += 1.0
+        values = _expectation_vector(device, vectors, block[:, 1:2])
+        values *= jitter
+        np.maximum(np.rint(values, out=values), 1.0, out=block[:, 2:])
     return rows
 
 

@@ -171,7 +171,7 @@ def tie_heavy_tree_case(draw):
     assume(len(set(labels)) >= 2)
     params = dict(
         max_depth=draw(st.none() | st.integers(0, 4)),
-        min_samples_leaf=draw(st.integers(0, 4)),
+        min_samples_leaf=draw(st.integers(1, 4)),
         max_features=draw(st.none() | st.integers(1, d)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
@@ -250,6 +250,25 @@ class TestMinMax:
         once, _ = minmax_fit_transform(m)
         twice, _ = minmax_fit_transform(once)
         assert np.allclose(once.values, twice.values, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+        min_size=1, max_size=12,
+    ))
+    @example([[-1e308, -1.7976931348623157e308, 5e-324], [0.0, 1.7976931348623157e308, -5e-324],
+              [1e308, 1e16, 1e-5]])
+    def test_full_float64_range_in_unit_interval(self, rows):
+        values = np.asarray(rows, dtype=np.float64)
+        out, _ = minmax_fit_transform(labeled(values, ["x"] * len(rows), ["a", "b", "c"]))
+        assert np.all((out.values >= 0.0) & (out.values <= 1.0))
+        with np.errstate(over="ignore"):
+            span = values.max(axis=0) - values.min(axis=0)
+        assert np.all(out.values[:, span == 0] == 0.0)
+        # a column whose span fits in float64 keeps the plain formula, bit for bit
+        plain = np.isfinite(span) & (span > 0)
+        expected = (values[:, plain] - values.min(axis=0)[plain]) / span[plain]
+        assert np.array_equal(out.values[:, plain], expected)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(4)
@@ -456,6 +475,22 @@ class TestClassifiers:
         p1 = train_classifier("random_forest", m, {"n_estimators": 7}, seed=5).predict(pts)
         p2 = train_classifier("random_forest", m, {"n_estimators": 7}, seed=5).predict(pts)
         assert np.array_equal(p1, p2)
+
+    @pytest.mark.parametrize("kind, hyperparams, message", [
+        ("decision_tree", {"max_depth": -1}, "max_depth"),
+        ("decision_tree", {"min_samples_leaf": 0}, "min_samples_leaf"),
+        ("random_forest", {"max_depth": -1}, "max_depth"),
+        ("random_forest", {"min_samples_leaf": -2}, "min_samples_leaf"),
+        ("random_forest", {"n_estimators": 0}, "n_estimators"),
+    ])
+    def test_out_of_range_hyperparameter_rejected(self, kind, hyperparams, message):
+        m = labeled([[1.0], [2.0], [8.0], [9.0]], ["lo", "lo", "hi", "hi"])
+        with pytest.raises(ValueError, match=message):
+            train_classifier(kind, m, hyperparams)
+
+    def test_out_of_range_max_features_rejected(self):
+        with pytest.raises(ValueError, match="max_features"):
+            DecisionTree(max_features=0)
 
     def test_unknown_hyperparameter_rejected(self):
         m = labeled([[1.0], [2.0]], ["a", "b"])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from skewbench import schema
+from skewbench import analysis, schema
 from skewbench.cli import main
 from skewbench.simulator import (
     FarmConfig,
@@ -221,3 +221,14 @@ class TestAnalysisCommands:
         for name in ("a", "b"):
             main(["cluster", str(tiny_dataset_dir), "--out", str(tmp_path / name), "--k", "2", "--seed", "5"])
         assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
+
+    def test_identify_bad_hyperparameter_exits_1(self, tmp_path, tiny_dataset_dir, monkeypatch, capsys):
+        train = analysis.train_classifier
+        monkeypatch.setattr(
+            analysis, "train_classifier",
+            lambda kind, matrix, seed=0: train(kind, matrix, {"max_depth": -1}, seed=seed),
+        )
+        assert main(["identify", str(tiny_dataset_dir), "--out", str(tmp_path / "i")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_depth")
+        assert "Traceback" not in err

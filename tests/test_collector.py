@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -330,3 +331,64 @@ class TestRunSession:
         config = sim_config(tmp_path, samples=1)
         run_session(config, VirtualAdapter.for_device(sim_device(), 0.0))
         assert gc.isenabled()
+
+
+class TestTornTail:
+    """A row cut short by a crash is cut off, not appended to."""
+
+    def first_session(self, directory, device):
+        run_session(sim_config(directory, samples=3), VirtualAdapter.for_device(device, 0.0))
+        return (directory / f"{MAC}.csv").read_bytes(), (directory / "MAC-Model.txt").read_bytes()
+
+    def test_every_cut_inside_last_row(self, tmp_path):
+        device = sim_device(seed=13)
+        cost = model_vectors(device.model).sample_wallclock_s
+        csv_bytes, mac_model = self.first_session(tmp_path / "base", device)
+        last_row = csv_bytes.rstrip(b"\n").rfind(b"\n") + 1
+        work = tmp_path / "work"
+        for cut in range(last_row + 1, len(csv_bytes)):
+            shutil.rmtree(work, ignore_errors=True)
+            work.mkdir()
+            (work / f"{MAC}.csv").write_bytes(csv_bytes[:cut])
+            (work / "MAC-Model.txt").write_bytes(mac_model)
+            result = run_session(sim_config(work, samples=1),
+                                 VirtualAdapter.for_device(device, 3 * cost))
+            assert not result.aborted
+            assert schema.read_dataset(work).n_samples == 3, cut
+            assert (work / f"{MAC}.csv.torn").read_bytes() == csv_bytes[last_row:cut] + b"\n"
+            repaired = [e for e in result.log.events if e["event"] == "repaired_tail"]
+            assert repaired == [{"event": "repaired_tail", "file": f"{MAC}.csv",
+                                 "kept_bytes": last_row, "torn_bytes": cut - last_row,
+                                 "torn_file": f"{MAC}.csv.torn"}]
+
+    def test_torn_mac_model_line(self, tmp_path):
+        device = sim_device(seed=13)
+        cost = model_vectors(device.model).sample_wallclock_s
+        csv_bytes, mac_model = self.first_session(tmp_path / "base", device)
+        other = b"02:53:42:00:00:08,RPi3like\n"
+        for cut in range(1, len(other)):
+            work = tmp_path / f"cut{cut}"
+            work.mkdir()
+            (work / f"{MAC}.csv").write_bytes(csv_bytes)
+            (work / "MAC-Model.txt").write_bytes(mac_model + other[:cut])
+            run_session(sim_config(work, samples=1), VirtualAdapter.for_device(device, 3 * cost))
+            assert (work / "MAC-Model.txt").read_bytes() == mac_model
+            assert schema.read_dataset(work).n_samples == 4
+            assert (work / "MAC-Model.txt.torn").read_bytes() == other[:cut] + b"\n"
+
+    def test_clean_file_untouched(self, tmp_path):
+        device = sim_device(seed=13)
+        cost = model_vectors(device.model).sample_wallclock_s
+        csv_bytes, _ = self.first_session(tmp_path, device)
+        result = run_session(sim_config(tmp_path, samples=1),
+                             VirtualAdapter.for_device(device, 3 * cost))
+        assert (tmp_path / f"{MAC}.csv").read_bytes().startswith(csv_bytes)
+        assert not list(tmp_path.glob("*.torn"))
+        assert all(e["event"] != "repaired_tail" for e in result.log.events)
+
+    def test_foreign_header_refused(self, tmp_path):
+        header = ",".join(schema.AGGREGATED_SCHEMA.columns) + "\n"
+        (tmp_path / f"{MAC}.csv").write_text(header)
+        with pytest.raises(collector.SessionError, match="header"):
+            run_session(sim_config(tmp_path, samples=1), VirtualAdapter.for_device(sim_device(), 0.0))
+        assert (tmp_path / f"{MAC}.csv").read_text() == header

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewbench import schema
@@ -17,6 +17,7 @@ from skewbench.schema import (
     SchemaViolation,
     aggregate_storage_features,
     aggregate_storage_matrix,
+    format_rows,
     read_dataset,
     write_dataset,
 )
@@ -187,6 +188,112 @@ class TestWriteRead:
         csv_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaViolation, match="non-finite"):
             read_dataset(tmp_path)
+
+
+class TestFormatRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+        max_size=5,
+    ))
+    @example([[5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, -5e-324]])
+    @example([[1e16, 1e-5, 3.0, -0.0], [1.7976931348623157e308, -1.7976931348623157e308, 1e22, 0.0]])
+    def test_cells_match_repr(self, rows):
+        mac = "02:00:00:00:00:01"
+        values = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
+        expected = "".join(",".join(repr(float(v)) for v in row) + f",{mac}\n" for row in values)
+        assert format_rows(values, mac) == expected
+
+
+def write_device_csv(directory, lines: list[str], newline: str = "\n") -> str:
+    """A one-device dataset whose CSV holds exactly ``lines``; returns the MAC."""
+    mac = "02:00:00:00:00:00"
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "MAC-Model.txt").write_text(f"{mac},model0\n")
+    (directory / f"{mac}.csv").write_bytes(newline.join(lines).encode() + newline.encode())
+    return mac
+
+
+def good_lines(n_samples: int = 3) -> list[str]:
+    ds = make_dataset(n_devices=1, n_samples=n_samples, seed=5)
+    mac = ds.devices[0].mac
+    return [",".join(DEFAULT_SCHEMA.columns)] + format_rows(ds.rows(mac), mac).splitlines()
+
+
+def set_cell(line: str, column: int, cell: str) -> str:
+    cells = line.split(",")
+    cells[column] = cell
+    return ",".join(cells)
+
+
+class TestReaderParity:
+    """Malformed files raise the error of the first bad row, in file order,
+    exactly as row-by-row parsing does; well-formed variants read as before."""
+
+    def test_bad_cell_before_wrong_column_count(self, tmp_path):
+        lines = good_lines()
+        lines[2] = set_cell(lines[2], 4, "abc")
+        lines[3] = lines[3].replace(",", ",1.0,", 1)
+        write_device_csv(tmp_path, lines)
+        with pytest.raises(CellParseError) as info:
+            read_dataset(tmp_path)
+        assert str(info.value) == (
+            f"{tmp_path / '02:00:00:00:00:00.csv'}: row 3: column 'cpu_sleep_5s': not numeric: 'abc'"
+        )
+
+    def test_wrong_column_count_before_bad_cell(self, tmp_path):
+        lines = good_lines()
+        lines[2] = lines[2].replace(",", ",1.0,", 1)
+        lines[3] = set_cell(lines[3], 4, "abc")
+        write_device_csv(tmp_path, lines)
+        with pytest.raises(SchemaViolation) as info:
+            read_dataset(tmp_path)
+        assert str(info.value) == (
+            f"{tmp_path / '02:00:00:00:00:00.csv'}: row 3: expected 218 columns, got 219"
+        )
+
+    def test_inf_cell(self, tmp_path):
+        lines = good_lines()
+        lines[1] = set_cell(lines[1], 7, "inf")
+        write_device_csv(tmp_path, lines)
+        with pytest.raises(SchemaViolation) as info:
+            read_dataset(tmp_path)
+        assert str(info.value) == (
+            f"{tmp_path / '02:00:00:00:00:00.csv'}: row 2: column 'cpu_string_hash': "
+            "non-finite value"
+        )
+
+    def test_underscore_digits_parse_as_float_does(self, tmp_path):
+        lines = good_lines()
+        lines[2] = set_cell(lines[2], 10, "1_0")
+        mac = write_device_csv(tmp_path, lines)
+        assert read_dataset(tmp_path).rows(mac)[1, 10] == float("1_0") == 10.0
+
+    def test_crlf_line_endings(self, tmp_path):
+        write_device_csv(tmp_path / "lf", good_lines())
+        mac = write_device_csv(tmp_path / "crlf", good_lines(), newline="\r\n")
+        assert read_dataset(tmp_path / "crlf").equals(read_dataset(tmp_path / "lf"))
+        assert read_dataset(tmp_path / "crlf").rows(mac).shape == (3, 217)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        lines = good_lines()
+        write_device_csv(tmp_path / "plain", lines)
+        write_device_csv(tmp_path / "blank", ["", lines[0], "  ", lines[1], "", lines[2], lines[3], ""])
+        assert read_dataset(tmp_path / "blank").equals(read_dataset(tmp_path / "plain"))
+
+    def test_blank_lines_do_not_shift_row_numbers(self, tmp_path):
+        lines = good_lines()
+        lines[3] = set_cell(lines[3], 4, "abc")
+        write_device_csv(tmp_path, [lines[0], "", lines[1], lines[2], "", lines[3]])
+        with pytest.raises(CellParseError, match="row 4: column 'cpu_sleep_5s'"):
+            read_dataset(tmp_path)
+
+    def test_header_only_file(self, tmp_path):
+        mac = write_device_csv(tmp_path, good_lines()[:1])
+        ds = read_dataset(tmp_path)
+        assert ds.schema == DEFAULT_SCHEMA
+        assert ds.rows(mac).shape == (0, 217)
+        assert ds.n_samples == 0
 
 
 @st.composite

@@ -24,7 +24,6 @@ from skewbench.simulator import (
     sample_values,
     simulate_dataset,
     simulate_device_rows,
-    simulate_feature,
     with_heterogeneous_scales,
 )
 
@@ -107,8 +106,8 @@ class TestClosedForm:
         dev = explicit_device(quiet_model(), gpu_skew=100.0)
         expected = 5.0e8 * 1.0001  # 500_050_000
         assert feature_expectation(dev, "cpu_sleep_1s", 0.0) == pytest.approx(expected, rel=1e-12)
-        rng = np.random.default_rng(0)
-        assert simulate_feature(dev, "cpu_sleep_1s", 0.0, rng) == 500_050_000.0
+        col = 2 + schema.FEATURE_COLUMNS.index("cpu_sleep_1s")
+        assert simulate_device_rows(dev, 1, 0.0)[0, col] == 500_050_000.0
 
     def test_sleep_scales_with_duration(self):
         dev = explicit_device(quiet_model())
@@ -152,6 +151,32 @@ class TestClosedForm:
         rng = np.random.default_rng(1)
         _, values = sample_values(dev, model_vectors(dev.model), 0.0, rng)
         assert np.array_equal(values, np.rint(values))
+
+
+def per_sample_rows(device: VirtualDevice, n_samples: int, start_time: float) -> np.ndarray:
+    """Reference: one sample_values call per sample, as a session draws them."""
+    vectors = model_vectors(device.model)
+    rng = np.random.default_rng(device.rng_seed)
+    rows = np.empty((n_samples, 217))
+    for k in range(n_samples):
+        t = start_time + k * vectors.sample_wallclock_s
+        temperature, values = sample_values(device, vectors, t, rng)
+        rows[k, 0] = t
+        rows[k, 1] = temperature
+        rows[k, 2:] = values
+    return rows
+
+
+class TestBatchMatchesPerSample:
+    @pytest.mark.parametrize("n_samples", [0, 1, 200])
+    @pytest.mark.parametrize("master_seed", [1, 7, 1009])
+    def test_rows_byte_identical(self, n_samples, master_seed):
+        config = with_heterogeneous_scales(default_farm_config(master_seed=master_seed))
+        for device in make_farm(config)[::11]:
+            batch = simulate_device_rows(device, n_samples, 1_700_000_000.0)
+            reference = per_sample_rows(device, n_samples, 1_700_000_000.0)
+            assert batch.shape == reference.shape == (n_samples, 217)
+            assert batch.tobytes() == reference.tobytes()
 
 
 class TestSimulatedData:
