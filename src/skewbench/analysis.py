@@ -120,16 +120,24 @@ def minmax_fit_transform(m: FeatureMatrix) -> tuple[FeatureMatrix, Normalization
 def minmax_apply(m: FeatureMatrix, params: NormalizationParams) -> FeatureMatrix:
     # A column whose span overflows float64 is mapped at half scale, where
     # neither the span nor any difference overflows. Every other column is
-    # scaled by 1.0, which leaves its values bit-identical.
-    with np.errstate(over="ignore"):
+    # scaled by 1.0, which leaves its values bit-identical. A cell far
+    # outside the fitted span can still overflow in ``x - x_min``; only
+    # those cells are redone at half scale. A cell whose result is not finite
+    # even then is left to FeatureMatrix to reject.
+    with np.errstate(all="ignore"):
         scale = np.where(np.isfinite(params.x_max - params.x_min), 1.0, 0.5)
-    x_min = params.x_min * scale
-    span = params.x_max * scale - x_min
-    safe = np.where(span == 0, 1.0, span)
-    values = m.values * scale  # the only matrix-sized allocation: the rest is in place
-    values -= x_min
-    values /= safe
-    values[:, span == 0] = 0.0
+        x_min = params.x_min * scale
+        span = params.x_max * scale - x_min
+        safe = np.where(span == 0, 1.0, span)
+        values = m.values * scale  # the only float matrix-sized allocation: the rest is in place
+        values -= x_min
+        values /= safe
+        values[:, span == 0] = 0.0
+        rows, cols = np.nonzero(np.isinf(values))
+        half_min = params.x_min[cols] * 0.5
+        values[rows, cols] = (m.values[rows, cols] * 0.5 - half_min) / (
+            params.x_max[cols] * 0.5 - half_min
+        )
     return FeatureMatrix(values, m.columns, m.labels)
 
 

@@ -5,7 +5,8 @@ A session appends complete rows to the device's CSV until the configured
 sample count is reached, then stops; a supervisor loop restarts the process
 for the next session, which resets accumulated process noise the same way a
 device reboot would. Rows are written atomically (one write plus flush per
-sample), so a killed session always leaves a parseable file. A row torn by
+sample), so a killed session always leaves a parseable file; the session
+journal is streamed the same way, one flushed line per event. A row torn by
 power loss mid-write is cut off at the next session start and kept in
 ``<file>.torn`` (the same for ``MAC-Model.txt``), and a session appends only
 to a CSV whose header is the 218-column schema.
@@ -24,7 +25,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -35,10 +36,11 @@ from .probes import CounterRegistry, host_registry, observer_for
 from .simulator import VirtualDevice, VirtualDeviceRuntime
 from .workloads import (
     FEATURE_BINDINGS,
-    FIXED_HASH_PAYLOAD,
-    GpuSurrogate,
-    StorageScratch,
+    KIND_BY_ID,
     FeatureBinding,
+    GpuSurrogate,
+    HostState,
+    StorageScratch,
 )
 
 SCHED_FIFO = 1
@@ -254,23 +256,24 @@ def read_temperature(probe: PlatformProbe | None = None) -> float:
     return schema.TEMPERATURE_UNAVAILABLE_C if value is None else value
 
 
-@dataclass
 class SessionLog:
-    """JSON-lines session journal."""
+    """JSON-lines session journal, written and flushed event by event, so a
+    killed session leaves every event added before the kill."""
 
-    events: list[dict] = field(default_factory=list)
+    def __init__(self, path: Path):
+        self.events: list[dict] = []
+        self._fh = open(path, "a", encoding="utf-8")
 
     def add(self, event: str, **payload) -> None:
-        self.events.append({"event": event, **payload})
+        entry = {"event": event, **payload}
+        self.events.append(entry)
+        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._fh.flush()
 
-    def write(self, path: Path) -> None:
-        with open(path, "a", encoding="utf-8") as fh:
-            for event in self.events:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
-
-    @property
-    def sample_count(self) -> int:
-        return sum(1 for e in self.events if e["event"] == "sample" and e.get("ok"))
+    def close(self) -> None:
+        """Make the journal durable and close it."""
+        os.fsync(self._fh.fileno())
+        self._fh.close()
 
 
 @dataclass
@@ -293,25 +296,24 @@ class HostAdapter:
         self.config = config
         self.probe = probe or PlatformProbe()
         self.registry = registry if registry is not None else host_registry()
-        self._rng = random.Random(config.seed)
-        self._surrogate: GpuSurrogate | None = None
-        self._scratch: StorageScratch | None = None
-        self._fixture: Path | None = None
-        self._urandom_buf: bytearray | None = None
+        self._state: HostState | None = None
 
     def setup(self) -> None:
         scratch_dir = self.config.working_dir / "scratch"
         scratch_dir.mkdir(parents=True, exist_ok=True)
-        self._surrogate = GpuSurrogate()
-        self._fixture = workloads.write_csv_fixture(scratch_dir / "fixture.csv")
-        self._scratch = StorageScratch(scratch_dir / "scratch.bin")
-        self._urandom_buf = bytearray(workloads.URANDOM_BYTES)
+        self._state = HostState(
+            surrogate=GpuSurrogate(),
+            fixture=workloads.write_csv_fixture(scratch_dir / "fixture.csv"),
+            scratch=StorageScratch(scratch_dir / "scratch.bin"),
+            urandom_buf=bytearray(workloads.URANDOM_BYTES),
+            rng=random.Random(self.config.seed),
+            seed=self.config.seed,
+        )
 
     def teardown(self) -> None:
-        if self._scratch is not None:
-            self._scratch.close()
-            self._scratch = None
-        self._urandom_buf = None
+        if self._state is not None:
+            self._state.scratch.close()
+            self._state = None
 
     def now(self) -> float:
         return time.time()
@@ -323,43 +325,13 @@ class HostAdapter:
         return read_temperature(self.probe)
 
     def backend_names(self) -> dict[str, str]:
-        return {"gpu": self._surrogate.backend_name if self._surrogate else "none",
+        return {"gpu": self._state.surrogate.backend_name if self._state else "none",
                 "hash": workloads.HASH_FUNCTION_NAME}
 
     def executable(self, binding: FeatureBinding):
-        if self._scratch is None or self._surrogate is None:
+        if self._state is None:
             raise SessionError("adapter not set up")
-        kind = binding.workload_id
-        if kind == "cpu_sleep":
-            duration = float(binding.variant)
-            return None, lambda: time.sleep(duration)
-        if kind == "cpu_string_hash":
-            seed = self.config.seed
-            return None, lambda: workloads.run_string_hash(FIXED_HASH_PAYLOAD, seed)
-        if kind == "cpu_pseudo_random":
-            return None, self._rng.random
-        if kind == "cpu_urandom":
-            buf = self._urandom_buf
-            return None, lambda: workloads.run_urandom(buf)
-        if kind == "cpu_fib":
-            return None, lambda: workloads.run_fib(workloads.FIB_N)
-        if kind.startswith("gpu_"):
-            surrogate = self._surrogate
-            return None, lambda: workloads.run_gpu_surrogate(kind, surrogate)
-        if kind == "mem_list_creation":
-            return None, workloads.run_list_creation
-        if kind == "mem_reserve":
-            return None, workloads.run_mem_reserve
-        if kind == "mem_csv_read":
-            fixture = self._fixture
-            return None, lambda: workloads.run_csv_read(fixture)
-        if kind == "storage_read":
-            rep = int(binding.variant)
-            return (lambda: self._scratch.invalidate(rep)), (lambda: self._scratch.read_op(rep))
-        if kind == "storage_write":
-            rep = int(binding.variant)
-            return None, lambda: self._scratch.write_op(rep)
-        raise SessionError(f"no executable for workload kind {kind!r}")
+        return KIND_BY_ID[binding.workload_id].host(self._state, binding.variant)
 
 
 class VirtualAdapter:
@@ -490,85 +462,89 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
     """Run one bounded collection session.
 
     Appends at most ``samples_per_session`` rows to ``<MAC>.csv`` under the
-    working directory, emits the session journal beside it, and stops. A
-    ``progress`` callable, if given, is invoked after each appended row;
-    raising from it aborts the session cleanly (used by supervisors to stop
-    early).
+    working directory and stops. The session journal beside it is written
+    as events happen, from before the preflight on, and both files are
+    fsynced at session end. A ``progress`` callable, if given, is invoked
+    after each appended row; raising from it aborts the session cleanly
+    (used by supervisors to stop early).
     """
     if adapter is None:
         adapter = HostAdapter(config)
-    log = SessionLog()
-    log.add("session_start", mac=config.device_mac, model=config.device_model,
-            samples_per_session=config.samples_per_session, seed=config.seed,
-            virtual=adapter.is_virtual, started_at=adapter.now())
-
-    report = adapter.preflight()
-    log.add("preflight", checks=report.to_json(), degraded=report.degraded)
-    if config.require_fixed_frequency and report.checks["fixed_frequency"] is not CheckStatus.SATISFIED:
-        raise DegradedEnvironment("fixed frequency required but not detected")
-    if report.degraded and not config.allow_degraded:
-        raise DegradedEnvironment(
-            "stability measures missing (degraded host); pass allow_degraded to proceed"
-        )
-
     config.working_dir.mkdir(parents=True, exist_ok=True)
     log_path = config.working_dir / f"{config.device_mac.replace(':', '-')}.session.jsonl"
     csv_path = config.working_dir / f"{config.device_mac}.csv"
-
-    gc_was_enabled = gc.isenabled()
-    if not adapter.is_virtual and gc_was_enabled:
-        gc.disable()
-    adapter.setup()
-    rows_written = 0
-    abort_reason: str | None = None
+    log = SessionLog(log_path)
     try:
-        log.add("backends", **adapter.backend_names())
-        observers = sorted(
-            {observer_for(adapter.registry, b.target_component).id for b in FEATURE_BINDINGS}
-        )
-        for observer_id in observers:
-            log.add("bracket_overhead", **adapter.registry.measure_overhead(observer_id))
+        log.add("session_start", mac=config.device_mac, model=config.device_model,
+                samples_per_session=config.samples_per_session, seed=config.seed,
+                virtual=adapter.is_virtual, started_at=adapter.now())
 
-        _repair_torn_tail(config.working_dir / schema.MAC_MODEL_FILENAME, log)
-        _ensure_mac_model_entry(config.working_dir, config.device_mac, config.device_model)
-        _repair_torn_tail(csv_path, log)
-        new_file = not csv_path.exists() or csv_path.stat().st_size == 0
-        if not new_file:
-            _check_header(csv_path)
-        with open(csv_path, "a", encoding="utf-8", newline="") as fh:
-            if new_file:
-                fh.write(",".join(schema.DEFAULT_SCHEMA.columns) + "\n")
-                fh.flush()
-            for index in range(config.samples_per_session):
-                try:
-                    sample = collect_sample(config, adapter)
-                except SessionError:
-                    raise
-                except KeyboardInterrupt:
-                    abort_reason = f"interrupted during sample {index}"
-                    log.add("sample", index=index, ok=False, error="interrupted")
-                    break
-                except Exception as exc:  # workload/measurement failure
-                    abort_reason = f"sample {index}: {exc}"
-                    log.add("sample", index=index, ok=False, error=str(exc))
-                    break
-                fh.write(schema.format_rows(sample.values[None, :], sample.label))
-                fh.flush()
-                rows_written += 1
-                log.add("sample", index=index, ok=True, timestamp=sample.timestamp)
-                if progress is not None:
-                    try:
-                        progress(index, sample)
-                    except (Exception, KeyboardInterrupt) as exc:
-                        abort_reason = f"stopped by supervisor at sample {index}: {exc}"
-                        break
-    finally:
-        adapter.teardown()
+        report = adapter.preflight()
+        log.add("preflight", checks=report.to_json(), degraded=report.degraded)
+        if (config.require_fixed_frequency
+                and report.checks["fixed_frequency"] is not CheckStatus.SATISFIED):
+            raise DegradedEnvironment("fixed frequency required but not detected")
+        if report.degraded and not config.allow_degraded:
+            raise DegradedEnvironment(
+                "stability measures missing (degraded host); pass allow_degraded to proceed"
+            )
+
+        gc_was_enabled = gc.isenabled()
         if not adapter.is_virtual and gc_was_enabled:
-            gc.enable()
-        log.add("session_end", rows_written=rows_written, aborted=abort_reason is not None,
-                abort_reason=abort_reason, ended_at=adapter.now())
-        log.write(log_path)
+            gc.disable()
+        adapter.setup()
+        rows_written = 0
+        abort_reason: str | None = None
+        try:
+            log.add("backends", **adapter.backend_names())
+            observers = sorted(
+                {observer_for(adapter.registry, b.target_component).id for b in FEATURE_BINDINGS}
+            )
+            for observer_id in observers:
+                log.add("bracket_overhead", **adapter.registry.measure_overhead(observer_id))
+
+            _repair_torn_tail(config.working_dir / schema.MAC_MODEL_FILENAME, log)
+            _ensure_mac_model_entry(config.working_dir, config.device_mac, config.device_model)
+            _repair_torn_tail(csv_path, log)
+            new_file = not csv_path.exists() or csv_path.stat().st_size == 0
+            if not new_file:
+                _check_header(csv_path)
+            with open(csv_path, "a", encoding="utf-8", newline="") as fh:
+                if new_file:
+                    fh.write(",".join(schema.DEFAULT_SCHEMA.columns) + "\n")
+                    fh.flush()
+                for index in range(config.samples_per_session):
+                    try:
+                        sample = collect_sample(config, adapter)
+                    except SessionError:
+                        raise
+                    except KeyboardInterrupt:
+                        abort_reason = f"interrupted during sample {index}"
+                        log.add("sample", index=index, ok=False, error="interrupted")
+                        break
+                    except Exception as exc:  # workload/measurement failure
+                        abort_reason = f"sample {index}: {exc}"
+                        log.add("sample", index=index, ok=False, error=str(exc))
+                        break
+                    fh.write(schema.format_rows(sample.values[None, :], sample.label))
+                    fh.flush()
+                    rows_written += 1
+                    log.add("sample", index=index, ok=True, timestamp=sample.timestamp)
+                    if progress is not None:
+                        try:
+                            progress(index, sample)
+                        except (Exception, KeyboardInterrupt) as exc:
+                            abort_reason = f"stopped by supervisor at sample {index}: {exc}"
+                            break
+                os.fsync(fh.fileno())
+        finally:
+            adapter.teardown()
+            if not adapter.is_virtual and gc_was_enabled:
+                gc.enable()
+            log.add("session_end", rows_written=rows_written, aborted=abort_reason is not None,
+                    abort_reason=abort_reason, ended_at=adapter.now())
+    finally:
+        log.close()
 
     return SessionResult(
         csv_path=csv_path,

@@ -4,7 +4,9 @@ A dataset is a directory with one CSV file per device, named after the
 device MAC address, plus a ``MAC-Model.txt`` file mapping each MAC to its
 hardware model tag. Every CSV row is one sample: Unix timestamp, core
 temperature, 215 performance features, and the MAC label, in a fixed order
-of 218 columns.
+of 218 columns. The feature columns, and the aggregated schema that collapses
+each storage kind's columns to four statistics, are derived from
+:data:`skewbench.workloads.KINDS`, the one declaration of the workload kinds.
 
 The row bytes have one definition, :func:`format_rows`: each numeric cell
 is ``repr`` of its float64 value, so floats round-trip exactly and a
@@ -24,33 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-CPU_SLEEP_DURATIONS_S: tuple[int, ...] = (1, 2, 5, 10, 120)
-STORAGE_REPETITIONS = 100
+from .probes import Component
+from .workloads import FEATURE_BINDINGS, KIND_BY_ID, KINDS
 
 CONTEXT_COLUMNS = ("timestamp", "temperature")
-SLEEP_COLUMNS = tuple(f"cpu_sleep_{d}s" for d in CPU_SLEEP_DURATIONS_S)
-CPU_OP_COLUMNS = ("cpu_string_hash", "cpu_pseudo_random", "cpu_urandom", "cpu_fib")
-GPU_COLUMNS = ("gpu_matrixmul", "gpu_matrixsum", "gpu_scopy")
-MEMORY_COLUMNS = ("mem_list_creation", "mem_reserve", "mem_csv_read")
-STORAGE_READ_COLUMNS = tuple(f"storage_read_{i}" for i in range(1, STORAGE_REPETITIONS + 1))
-STORAGE_WRITE_COLUMNS = tuple(f"storage_write_{i}" for i in range(1, STORAGE_REPETITIONS + 1))
+FEATURE_COLUMNS = tuple(b.column for b in FEATURE_BINDINGS)
+SLEEP_COLUMNS = tuple(b.column for b in FEATURE_BINDINGS if KIND_BY_ID[b.workload_id].sleep)
 STORAGE_AGGREGATE_STATS = ("avg", "median", "min", "max")
 LABEL_COLUMN = "mac"
-
-FEATURE_COLUMNS = (
-    SLEEP_COLUMNS
-    + CPU_OP_COLUMNS
-    + GPU_COLUMNS
-    + MEMORY_COLUMNS
-    + STORAGE_READ_COLUMNS
-    + STORAGE_WRITE_COLUMNS
-)
-
-STORAGE_AGGREGATE_COLUMNS = tuple(
-    f"storage_{direction}_{stat}"
-    for direction in ("read", "write")
-    for stat in STORAGE_AGGREGATE_STATS
-)
 
 MAC_MODEL_FILENAME = "MAC-Model.txt"
 
@@ -58,8 +41,23 @@ MAC_MODEL_FILENAME = "MAC-Model.txt"
 TIMESTAMP_INDEX = 0
 TEMPERATURE_INDEX = 1
 FEATURE_OFFSET = 2
-STORAGE_READ_SLICE = slice(17, 117)
-STORAGE_WRITE_SLICE = slice(117, 217)
+
+# Storage kinds are the aggregated ones: each one's block of columns
+# collapses to STORAGE_AGGREGATE_STATS in the aggregated schema.
+_AGGREGATED_KINDS = tuple(k.id for k in KINDS if k.component is Component.STORAGE)
+_KEPT_INDEX = [TIMESTAMP_INDEX, TEMPERATURE_INDEX] + [
+    FEATURE_OFFSET + i for i, b in enumerate(FEATURE_BINDINGS)
+    if b.workload_id not in _AGGREGATED_KINDS
+]
+
+
+def _numeric_slice(kind_id: str) -> slice:
+    index = [FEATURE_OFFSET + i for i, b in enumerate(FEATURE_BINDINGS) if b.workload_id == kind_id]
+    return slice(index[0], index[-1] + 1)
+
+
+STORAGE_SLICES = tuple(_numeric_slice(k) for k in _AGGREGATED_KINDS)
+STORAGE_READ_SLICE, STORAGE_WRITE_SLICE = STORAGE_SLICES
 
 # Temperature sentinel for platforms with no readable thermal zone.
 TEMPERATURE_UNAVAILABLE_C = -273.0
@@ -119,12 +117,8 @@ class FeatureSchema:
 DEFAULT_SCHEMA = FeatureSchema(CONTEXT_COLUMNS + FEATURE_COLUMNS + (LABEL_COLUMN,))
 
 AGGREGATED_SCHEMA = FeatureSchema(
-    CONTEXT_COLUMNS
-    + SLEEP_COLUMNS
-    + CPU_OP_COLUMNS
-    + GPU_COLUMNS
-    + MEMORY_COLUMNS
-    + STORAGE_AGGREGATE_COLUMNS
+    tuple(DEFAULT_SCHEMA.columns[i] for i in _KEPT_INDEX)
+    + tuple(f"{k}_{stat}" for k in _AGGREGATED_KINDS for stat in STORAGE_AGGREGATE_STATS)
     + (LABEL_COLUMN,)
 )
 
@@ -406,31 +400,15 @@ def read_dataset(directory: str | Path) -> Dataset:
     return dataset
 
 
-def _storage_aggregates(block: np.ndarray) -> np.ndarray:
-    # Median of an even-length block is the mean of the two central order
-    # statistics, which is what np.median computes.
-    return np.array([block.mean(), float(np.median(block)), block.min(), block.max()])
-
-
-def aggregate_storage_features(sample: SampleVector) -> SampleVector:
-    """Collapse the 200 storage columns to avg/median/min/max per direction.
-
-    The result conforms to :data:`AGGREGATED_SCHEMA` (26 columns including
-    the label); all non-storage columns are unchanged.
-    """
-    sample.validate(DEFAULT_SCHEMA)
-    vals = sample.values
-    head = vals[: STORAGE_READ_SLICE.start]
-    reads = _storage_aggregates(vals[STORAGE_READ_SLICE])
-    writes = _storage_aggregates(vals[STORAGE_WRITE_SLICE])
-    return SampleVector(np.concatenate([head, reads, writes]), sample.label)
-
-
 def aggregate_storage_matrix(values: np.ndarray) -> np.ndarray:
-    """Vectorized storage aggregation over an ``(n, 217)`` numeric matrix."""
-    head = values[:, : STORAGE_READ_SLICE.start]
-    out = [head]
-    for sl in (STORAGE_READ_SLICE, STORAGE_WRITE_SLICE):
+    """Collapse each storage kind's columns of an ``(n, 217)`` numeric matrix
+    to avg/median/min/max, giving rows of :data:`AGGREGATED_SCHEMA`.
+
+    The median of an even-length block is the mean of its two central
+    order statistics.
+    """
+    out = [values[:, _KEPT_INDEX]]
+    for sl in STORAGE_SLICES:
         block = values[:, sl]
         out.append(
             np.column_stack(

@@ -29,25 +29,16 @@ import numpy as np
 
 from . import schema
 from .probes import Component, CounterRegistry, CounterSource
-from .workloads import FEATURE_BINDINGS, FeatureBinding
+from .workloads import FEATURE_BINDINGS, KIND_BY_ID, KINDS, FeatureBinding
 
 PPM = 1e-6
 SECONDS_PER_DAY = 86400.0
 
-NON_SLEEP_KINDS = (
-    "cpu_string_hash",
-    "cpu_pseudo_random",
-    "cpu_urandom",
-    "cpu_fib",
-    "gpu_matrixmul",
-    "gpu_matrixsum",
-    "gpu_scopy",
-    "mem_list_creation",
-    "mem_reserve",
-    "mem_csv_read",
-    "storage_read",
-    "storage_write",
-)
+# Every kind but the sleeps needs a nominal duration in op_duration_ns.
+NON_SLEEP_KINDS = tuple(k.id for k in KINDS if not k.sleep)
+
+# The columns that write_center_split moves.
+_STORAGE_WRITE_MASK = np.array([b.workload_id == "storage_write" for b in FEATURE_BINDINGS])
 
 # Rows simulated per normal draw; any size gives the same stream and rows.
 SIMULATION_BLOCK_ROWS = 64
@@ -124,10 +115,9 @@ def model_vectors(spec: DeviceModelSpec) -> ModelVectors:
     duration = np.empty(n)
     jitter = np.empty(n)
     coeff = np.empty(n)
-    is_write = np.zeros(n, dtype=bool)
     for i, binding in enumerate(FEATURE_BINDINGS):
         kind = binding.workload_id
-        if kind == "cpu_sleep":
+        if KIND_BY_ID[kind].sleep:
             dur_s = float(binding.variant)
             base[i] = dur_s * spec.gpu_freq_hz
             coeff[i] = spec.temp_coeff_overrides.get(kind, spec.temp_coeff_sleep)
@@ -140,8 +130,7 @@ def model_vectors(spec: DeviceModelSpec) -> ModelVectors:
             coeff[i] = spec.temp_coeff_overrides.get(kind, spec.temp_coeff_other)
         duration[i] = dur_s
         jitter[i] = spec.jitter_overrides.get(kind, spec.jitter_sigma)
-        is_write[i] = kind == "storage_write"
-    return ModelVectors(base, duration, jitter, coeff, is_write)
+    return ModelVectors(base, duration, jitter, coeff, _STORAGE_WRITE_MASK)
 
 
 @dataclass(frozen=True)
@@ -507,13 +496,13 @@ def default_farm_config(
 
 
 def with_heterogeneous_scales(config: FarmConfig, noisy_jitter: float = 0.03) -> FarmConfig:
-    """Raise the jitter of every non-CPU workload kind.
+    """Raise the jitter of every GPU, memory and storage workload kind.
 
     Produces a farm where feature scales are wildly heterogeneous: CPU
     features stay clean while GPU, memory, and storage features drown in
     noise, which unweighted distance metrics cannot shrug off.
     """
-    noisy = {k: noisy_jitter for k in NON_SLEEP_KINDS if not k.startswith("cpu_")}
+    noisy = {k.id: noisy_jitter for k in KINDS if k.component is not Component.CPU}
     models = tuple(
         (replace(spec, jitter_overrides={**spec.jitter_overrides, **noisy}), count)
         for spec, count in config.models

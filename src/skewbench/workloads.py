@@ -1,5 +1,12 @@
 """The 13 benchmark workload kinds that expand to the 215 feature columns.
 
+:data:`KINDS` is the one declaration of the kinds: each entry gives the
+kind's id, the component it loads, its variants, the rule that names its
+feature column(s) and the factory of its host workload. The dataset schema,
+:data:`FEATURE_BINDINGS`, the simulator's required kinds and the host
+collector's dispatch are all derived from it, so a new kind (or a real GPU
+backend for the GPU kinds) is one entry.
+
 Workloads are deterministic, parameterized actions meant to run inside
 measurement brackets. Side effects stay under a designated scratch
 directory; stochastic workloads consume a session-seeded generator, except
@@ -11,20 +18,22 @@ from __future__ import annotations
 import csv
 import os
 import random
+import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import Callable
 
 import numpy as np
 
-from . import schema
 from .probes import Component
 
+CPU_SLEEP_DURATIONS_S: tuple[int, ...] = (1, 2, 5, 10, 120)
+STORAGE_REPETITIONS = 100
 URANDOM_BYTES = 100 * 1024 * 1024
 MEM_RESERVE_BYTES = 100 * 1024 * 1024
 CSV_FIXTURE_BYTES = 500 * 1000
 STORAGE_BLOCK_BYTES = 100 * 1024
-STORAGE_REPETITIONS = schema.STORAGE_REPETITIONS
 LIST_LENGTH = 1000
 FIB_N = 20
 
@@ -43,67 +52,6 @@ _PAGE = 4096
 
 class WorkloadError(RuntimeError):
     """A workload could not run or violated its contract."""
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    id: str
-    target_component: Component
-    params: Mapping[str, object]
-
-
-def registry() -> list[WorkloadSpec]:
-    """All workload kinds with their fixed parameters."""
-    return [
-        WorkloadSpec("cpu_sleep", Component.CPU, {"durations_s": schema.CPU_SLEEP_DURATIONS_S}),
-        WorkloadSpec("cpu_string_hash", Component.CPU, {"payload_bytes": HASH_PAYLOAD_BYTES, "hash": HASH_FUNCTION_NAME}),
-        WorkloadSpec("cpu_pseudo_random", Component.CPU, {"generator": "session-seeded"}),
-        WorkloadSpec("cpu_urandom", Component.CPU, {"bytes": URANDOM_BYTES}),
-        WorkloadSpec("cpu_fib", Component.CPU, {"n": FIB_N}),
-        WorkloadSpec("gpu_matrixmul", Component.GPU, {"dim": MATRIX_DIM}),
-        WorkloadSpec("gpu_matrixsum", Component.GPU, {"dim": MATRIX_DIM}),
-        WorkloadSpec("gpu_scopy", Component.GPU, {"dim": MATRIX_DIM}),
-        WorkloadSpec("mem_list_creation", Component.MEMORY, {"elements": LIST_LENGTH}),
-        WorkloadSpec("mem_reserve", Component.MEMORY, {"bytes": MEM_RESERVE_BYTES}),
-        WorkloadSpec("mem_csv_read", Component.MEMORY, {"bytes": CSV_FIXTURE_BYTES}),
-        WorkloadSpec("storage_read", Component.STORAGE, {"block_bytes": STORAGE_BLOCK_BYTES, "repetitions": STORAGE_REPETITIONS}),
-        WorkloadSpec("storage_write", Component.STORAGE, {"block_bytes": STORAGE_BLOCK_BYTES, "repetitions": STORAGE_REPETITIONS}),
-    ]
-
-
-@dataclass(frozen=True)
-class FeatureBinding:
-    """Maps one feature column to its (workload, variant) pair.
-
-    ``variant`` is the sleep duration for cpu_sleep columns, the 1-based
-    repetition index for storage columns, and None otherwise.
-    """
-
-    column: str
-    workload_id: str
-    variant: int | None
-    target_component: Component
-
-
-def feature_bindings() -> list[FeatureBinding]:
-    """One binding per performance column, in schema order."""
-    bindings: list[FeatureBinding] = []
-    for d in schema.CPU_SLEEP_DURATIONS_S:
-        bindings.append(FeatureBinding(f"cpu_sleep_{d}s", "cpu_sleep", d, Component.CPU))
-    for col in schema.CPU_OP_COLUMNS:
-        bindings.append(FeatureBinding(col, col, None, Component.CPU))
-    for col in schema.GPU_COLUMNS:
-        bindings.append(FeatureBinding(col, col, None, Component.GPU))
-    for col in schema.MEMORY_COLUMNS:
-        bindings.append(FeatureBinding(col, col, None, Component.MEMORY))
-    for i in range(1, STORAGE_REPETITIONS + 1):
-        bindings.append(FeatureBinding(f"storage_read_{i}", "storage_read", i, Component.STORAGE))
-    for i in range(1, STORAGE_REPETITIONS + 1):
-        bindings.append(FeatureBinding(f"storage_write_{i}", "storage_write", i, Component.STORAGE))
-    return bindings
-
-
-FEATURE_BINDINGS = feature_bindings()
 
 
 def run_fib(n: int) -> int:
@@ -135,10 +83,6 @@ def run_string_hash(payload: bytes, seed: int) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
-
-
-def run_pseudo_random(rng: random.Random) -> float:
-    return rng.random()
 
 
 def run_urandom(buffer: bytearray, path: str = "/dev/urandom") -> int:
@@ -222,14 +166,6 @@ class GpuSurrogate:
         np.copyto(self.out, self.a)
 
 
-def run_gpu_surrogate(kind: str, backend: GpuSurrogate) -> None:
-    try:
-        op = getattr(backend, kind.removeprefix("gpu_"))
-    except AttributeError:
-        raise WorkloadError(f"unknown GPU kernel: {kind}") from None
-    op()
-
-
 def _deterministic_block(index: int, size: int = STORAGE_BLOCK_BYTES) -> bytes:
     return bytes([(index * 31 + k) & 0xFF for k in range(256)]) * (size // 256)
 
@@ -300,21 +236,82 @@ class StorageScratch:
         self.close()
 
 
-def run_storage_io(direction: str, scratch: StorageScratch, probes, observer_id: str) -> list[float]:
-    """Exactly one bracket per repetition; returns the per-op deltas.
+@dataclass(frozen=True)
+class HostState:
+    """What a host session sets up once and its workloads read."""
 
-    Any I/O error discards the partial results and propagates, aborting the
-    sample.
+    surrogate: GpuSurrogate
+    fixture: Path
+    scratch: StorageScratch
+    urandom_buf: bytearray
+    rng: random.Random
+    seed: int
+
+
+Prepare = Callable[[], object] | None
+HostFactory = Callable[[HostState, int | None], tuple[Prepare, Callable[[], object]]]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One workload kind.
+
+    ``variants`` holds one entry per feature column: the sleep duration in
+    seconds when ``sleep`` is set, the 1-based repetition index for the
+    storage kinds, and None for a kind with one column. ``column`` names a
+    variant's column, with ``{id}`` and ``{v}`` filled in. ``host`` maps the
+    session's :class:`HostState` and a variant to the ``(prepare, workload)``
+    pair the collector brackets; ``prepare`` runs outside the bracket.
     """
-    if direction not in ("read", "write"):
-        raise WorkloadError(f"direction must be read or write, got {direction!r}")
-    deltas: list[float] = []
-    for i in range(1, scratch.repetitions + 1):
-        if direction == "read":
-            scratch.invalidate(i)
-            workload = lambda i=i: scratch.read_op(i)
-        else:
-            workload = lambda i=i: scratch.write_op(i)
-        m = probes.measure(observer_id, Component.STORAGE, f"storage_{direction}_{i}", workload)
-        deltas.append(float(m.delta))
-    return deltas
+
+    id: str
+    component: Component
+    host: HostFactory
+    variants: tuple[int | None, ...] = (None,)
+    column: str = "{id}"
+    sleep: bool = False
+
+
+_REPETITIONS = tuple(range(1, STORAGE_REPETITIONS + 1))
+
+KINDS: tuple[Kind, ...] = (
+    Kind("cpu_sleep", Component.CPU, lambda s, v: (None, partial(time.sleep, float(v))),
+         variants=CPU_SLEEP_DURATIONS_S, column="{id}_{v}s", sleep=True),
+    Kind("cpu_string_hash", Component.CPU,
+         lambda s, v: (None, partial(run_string_hash, FIXED_HASH_PAYLOAD, s.seed))),
+    Kind("cpu_pseudo_random", Component.CPU, lambda s, v: (None, s.rng.random)),
+    Kind("cpu_urandom", Component.CPU, lambda s, v: (None, partial(run_urandom, s.urandom_buf))),
+    Kind("cpu_fib", Component.CPU, lambda s, v: (None, partial(run_fib, FIB_N))),
+    Kind("gpu_matrixmul", Component.GPU, lambda s, v: (None, s.surrogate.matrixmul)),
+    Kind("gpu_matrixsum", Component.GPU, lambda s, v: (None, s.surrogate.matrixsum)),
+    Kind("gpu_scopy", Component.GPU, lambda s, v: (None, s.surrogate.scopy)),
+    Kind("mem_list_creation", Component.MEMORY, lambda s, v: (None, run_list_creation)),
+    Kind("mem_reserve", Component.MEMORY, lambda s, v: (None, run_mem_reserve)),
+    Kind("mem_csv_read", Component.MEMORY, lambda s, v: (None, partial(run_csv_read, s.fixture))),
+    Kind("storage_read", Component.STORAGE,
+         lambda s, v: (partial(s.scratch.invalidate, v), partial(s.scratch.read_op, v)),
+         variants=_REPETITIONS, column="{id}_{v}"),
+    Kind("storage_write", Component.STORAGE, lambda s, v: (None, partial(s.scratch.write_op, v)),
+         variants=_REPETITIONS, column="{id}_{v}"),
+)
+
+KIND_BY_ID = {kind.id: kind for kind in KINDS}
+
+
+@dataclass(frozen=True)
+class FeatureBinding:
+    """Maps one feature column to its (workload kind, variant) pair;
+    ``variant`` is one entry of the kind's :attr:`Kind.variants`."""
+
+    column: str
+    workload_id: str
+    variant: int | None
+    target_component: Component
+
+
+# One binding per performance column, in schema order.
+FEATURE_BINDINGS: tuple[FeatureBinding, ...] = tuple(
+    FeatureBinding(kind.column.format(id=kind.id, v=v), kind.id, v, kind.component)
+    for kind in KINDS
+    for v in kind.variants
+)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -269,6 +270,31 @@ class TestMinMax:
         plain = np.isfinite(span) & (span > 0)
         expected = (values[:, plain] - values.min(axis=0)[plain]) / span[plain]
         assert np.array_equal(out.values[:, plain], expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+                 min_size=1, max_size=6),
+        st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+                 min_size=1, max_size=6),
+    )
+    @example(fit=[[-1e308, 0.0], [7e307, 1.0]], rows=[[1.7e308, 0.5]])
+    def test_apply_within_ulps_of_exact(self, fit, rows):
+        # Rows from outside the fitted span: wherever the exact result is
+        # finite in float64, the output is finite and within 4 ulp of it.
+        _, params = minmax_fit_transform(labeled(fit, ["x"] * len(fit), ["a", "b"]))
+        exact = []
+        for row in rows:
+            for j, x in enumerate(row):
+                lo, hi = Fraction(params.x_min[j]), Fraction(params.x_max[j])
+                exact.append(Fraction(0) if lo == hi else (Fraction(x) - lo) / (hi - lo))
+        try:
+            rounded = [float(q) for q in exact]
+        except OverflowError:
+            assume(False)
+        out = minmax_apply(labeled(rows, ["x"] * len(rows), ["a", "b"]), params).values.ravel()
+        for got, q, f in zip(out.tolist(), exact, rounded):
+            assert abs(Fraction(got) - q) <= 4 * Fraction(math.ulp(f)), (got, f)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(4)

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import gc
+import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +281,30 @@ class TestRunSession:
             ds = schema.read_dataset(out)  # parses with the full schema
             assert ds.n_samples == kill_at + 1
 
+    def test_sigkill_mid_session_keeps_journal(self, tmp_path):
+        script = (
+            "import os, signal, sys\n"
+            "from skewbench.collector import SessionConfig, VirtualAdapter, run_session\n"
+            "from skewbench.simulator import default_models, make_device\n"
+            f"device = make_device(default_models()['RPi4like'], {MAC!r}, 7)\n"
+            "def kill(index, sample):\n"
+            "    if index == 5:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            f"config = SessionConfig({MAC!r}, 'RPi4like', sys.argv[1], samples_per_session=50)\n"
+            "run_session(config, VirtualAdapter.for_device(device, 0.0), progress=kill)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(collector.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        assert schema.read_dataset(tmp_path).n_samples == 6
+        log_path = tmp_path / f"{MAC.replace(':', '-')}.session.jsonl"
+        events = [json.loads(line) for line in log_path.read_text().splitlines()]
+        kinds = [e["event"] for e in events]
+        assert kinds[:2] == ["session_start", "preflight"]
+        assert [e["index"] for e in events if e["event"] == "sample"] == [0, 1, 2, 3, 4, 5]
+        assert kinds[-1] == "sample" and "session_end" not in kinds
+
     def test_degraded_host_refused_without_flag(self, tmp_path):
         config = sim_config(tmp_path, samples=1, allow_degraded=False)
         probe = FakeProbe(tmp_path / "root")
@@ -283,6 +312,10 @@ class TestRunSession:
         with pytest.raises(DegradedEnvironment):
             run_session(config, adapter)
         assert not (tmp_path / f"{MAC}.csv").exists()
+        log_path = tmp_path / f"{MAC.replace(':', '-')}.session.jsonl"
+        events = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [e["event"] for e in events] == ["session_start", "preflight"]
+        assert events[1]["degraded"]
 
     def test_require_fixed_frequency(self, tmp_path):
         config = sim_config(tmp_path, samples=1, allow_degraded=True, require_fixed_frequency=True)
@@ -301,8 +334,6 @@ class TestRunSession:
         run_session(config, VirtualAdapter.for_device(sim_device(), 0.0))
         log_path = tmp_path / f"{MAC.replace(':', '-')}.session.jsonl"
         lines = log_path.read_text().splitlines()
-        import json
-
         events = [json.loads(line) for line in lines]
         kinds = [e["event"] for e in events]
         assert kinds[0] == "session_start"

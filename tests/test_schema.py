@@ -15,7 +15,6 @@ from skewbench.schema import (
     DeviceRecord,
     SampleVector,
     SchemaViolation,
-    aggregate_storage_features,
     aggregate_storage_matrix,
     format_rows,
     read_dataset,
@@ -331,6 +330,22 @@ class TestRoundTripProperty:
         assert read_dataset(directory).equals(ds)
 
 
+def _storage_aggregates(block: np.ndarray) -> np.ndarray:
+    # Median of an even-length block is the mean of the two central order
+    # statistics, which is what np.median computes.
+    return np.array([block.mean(), float(np.median(block)), block.min(), block.max()])
+
+
+def aggregate_storage_features(sample: SampleVector) -> SampleVector:
+    """Per-row oracle for aggregate_storage_matrix, over the fixed layout:
+    storage reads in numeric columns 17-116, writes in 117-216."""
+    sample.validate(DEFAULT_SCHEMA)
+    vals = sample.values
+    reads = _storage_aggregates(vals[17:117])
+    writes = _storage_aggregates(vals[117:217])
+    return SampleVector(np.concatenate([vals[:17], reads, writes]), sample.label)
+
+
 class TestStorageAggregation:
     def make_sample(self, reads, writes) -> SampleVector:
         vals = np.empty(217)
@@ -405,6 +420,10 @@ class TestStorageAggregation:
         for i in range(len(rows)):
             per_sample = aggregate_storage_features(SampleVector(rows[i], mac))
             assert np.allclose(mat[i], per_sample.values, rtol=1e-12)
+
+    def test_slices_match_layout(self):
+        assert schema.STORAGE_READ_SLICE == slice(17, 117)
+        assert schema.STORAGE_WRITE_SLICE == slice(117, 217)
 
     def test_aggregated_round_trip(self, tmp_path):
         ds = make_dataset(n_devices=1, n_samples=3, seed=2)

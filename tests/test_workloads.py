@@ -1,26 +1,27 @@
 from __future__ import annotations
 
-import random
+import hashlib
+import os
+import time
 
 import numpy as np
 import pytest
 
-from skewbench import schema, workloads
-from skewbench.probes import Component, CounterRegistry, CounterSource, TIMER_SOURCE_ID, host_registry
+from skewbench import collector, schema, workloads
+from skewbench.collector import HostAdapter, SessionConfig
+from skewbench.probes import Component, CounterRegistry, CounterSource, observer_for
+from skewbench.schema import AGGREGATED_SCHEMA, DEFAULT_SCHEMA
 from skewbench.workloads import (
     FEATURE_BINDINGS,
     FIXED_HASH_PAYLOAD,
+    KINDS,
     GpuSurrogate,
     StorageScratch,
     WorkloadError,
-    registry,
     run_csv_read,
     run_fib,
-    run_gpu_surrogate,
     run_list_creation,
     run_mem_reserve,
-    run_pseudo_random,
-    run_storage_io,
     run_string_hash,
     run_urandom,
     write_csv_fixture,
@@ -32,9 +33,48 @@ HASH_SEED0 = 0xC63041C7132375C5
 HASH_SEED1 = 0x9700C8700CC0FFA4
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture
+def host_adapter(tmp_path, monkeypatch):
+    """A set-up HostAdapter factory; the entropy buffer is kept small."""
+    monkeypatch.setattr(workloads, "URANDOM_BYTES", 64 * 1024)
+    made = []
+
+    def make(seed=0, registry=None, name="host"):
+        config = SessionConfig("02:00:00:00:00:01", "Host", tmp_path / name, seed=seed)
+        adapter = HostAdapter(config, registry=registry)
+        adapter.setup()
+        made.append(adapter)
+        return adapter
+
+    yield make
+    for adapter in made:
+        adapter.teardown()
+
+
+def bindings_of(kind_id: str):
+    return [b for b in FEATURE_BINDINGS if b.workload_id == kind_id]
+
+
+def measure_storage(adapter, kind_id: str) -> list[float]:
+    """One bracket per repetition of a storage kind, as collect_sample runs them."""
+    deltas = []
+    for binding in bindings_of(kind_id):
+        prepare, workload = adapter.executable(binding)
+        if prepare is not None:
+            prepare()
+        observer = observer_for(adapter.registry, binding.target_component)
+        m = adapter.registry.measure(observer.id, binding.target_component, binding.column, workload)
+        deltas.append(float(m.delta))
+    return deltas
+
+
 class TestRegistry:
     def test_thirteen_kinds(self):
-        assert len(registry()) == 13
+        assert len(KINDS) == 13
 
     def test_expands_to_215_columns(self):
         assert len(FEATURE_BINDINGS) == 215
@@ -47,18 +87,45 @@ class TestRegistry:
         assert len(pairs) == 215
 
     def test_fixed_params(self):
-        by_id = {spec.id: spec for spec in registry()}
-        assert by_id["cpu_sleep"].params["durations_s"] == (1, 2, 5, 10, 120)
-        assert by_id["cpu_fib"].params["n"] == 20
-        assert by_id["cpu_urandom"].params["bytes"] == 100 * 1024 * 1024
-        assert by_id["mem_reserve"].params["bytes"] == 100 * 1024 * 1024
-        assert by_id["mem_list_creation"].params["elements"] == 1000
-        assert by_id["mem_csv_read"].params["bytes"] == 500 * 1000
-        assert by_id["storage_read"].params == {"block_bytes": 100 * 1024, "repetitions": 100}
+        by_id = {kind.id: kind for kind in KINDS}
+        assert by_id["cpu_sleep"].variants == (1, 2, 5, 10, 120)
+        assert [k.id for k in KINDS if k.sleep] == ["cpu_sleep"]
+        assert workloads.FIB_N == 20
+        assert workloads.URANDOM_BYTES == 100 * 1024 * 1024
+        assert workloads.MEM_RESERVE_BYTES == 100 * 1024 * 1024
+        assert workloads.LIST_LENGTH == 1000
+        assert workloads.CSV_FIXTURE_BYTES == 500 * 1000
+        assert workloads.STORAGE_BLOCK_BYTES == 100 * 1024
+        for kind_id in ("storage_read", "storage_write"):
+            assert by_id[kind_id].variants == tuple(range(1, 101))
 
     def test_unique_ids(self):
-        ids = [spec.id for spec in registry()]
+        ids = [kind.id for kind in KINDS]
         assert len(set(ids)) == len(ids)
+
+    def test_components(self):
+        by_component = {}
+        for kind in KINDS:
+            by_component.setdefault(kind.component, []).append(kind.id)
+        assert by_component == {
+            Component.CPU: ["cpu_sleep", "cpu_string_hash", "cpu_pseudo_random",
+                            "cpu_urandom", "cpu_fib"],
+            Component.GPU: ["gpu_matrixmul", "gpu_matrixsum", "gpu_scopy"],
+            Component.MEMORY: ["mem_list_creation", "mem_reserve", "mem_csv_read"],
+            Component.STORAGE: ["storage_read", "storage_write"],
+        }
+
+    def test_derived_layout_digests(self):
+        # SHA-256 of the header rows and the bindings as they were when each
+        # group of columns was still spelled out by hand.
+        assert sha256(",".join(DEFAULT_SCHEMA.columns)) == (
+            "b673c079c36f004cd15fdee3620681639445b650aee87acf2caeded3e1765805")
+        assert sha256(",".join(AGGREGATED_SCHEMA.columns)) == (
+            "353a0d911c8bc16beae00c5552fe9f3edb62f6f369e44cf1dd795b1394ff74fb")
+        assert sha256("\n".join(
+            f"{b.column},{b.workload_id},{b.variant},{b.target_component.value}"
+            for b in FEATURE_BINDINGS
+        )) == "f43c83a3572c51016054c376c066079b5e5efe080ec51fbaf2ea4dcb3fd8f11a"
 
 
 class TestFib:
@@ -91,8 +158,10 @@ class TestStringHash:
 
 
 class TestSmallWorkloads:
-    def test_pseudo_random_session_seeded(self):
-        assert run_pseudo_random(random.Random(7)) == run_pseudo_random(random.Random(7))
+    def test_pseudo_random_session_seeded(self, host_adapter):
+        (binding,) = bindings_of("cpu_pseudo_random")
+        draws = [host_adapter(seed=7, name=name).executable(binding)[1]() for name in "ab"]
+        assert draws[0] == draws[1]
 
     def test_list_creation(self):
         out = run_list_creation()
@@ -134,12 +203,12 @@ class TestGpuSurrogate:
         g.scopy()
         assert np.array_equal(g.out, g.a)
 
-    def test_dispatch(self):
-        g = GpuSurrogate()
-        run_gpu_surrogate("gpu_scopy", g)
-        assert np.array_equal(g.out, g.a)
-        with pytest.raises(WorkloadError):
-            run_gpu_surrogate("gpu_nonsense", g)
+    def test_dispatch(self, host_adapter):
+        adapter = host_adapter()
+        (binding,) = bindings_of("gpu_scopy")
+        adapter.executable(binding)[1]()
+        surrogate = adapter._state.surrogate
+        assert np.array_equal(surrogate.out, surrogate.a)
 
     def test_fixed_seed_matrices(self):
         assert np.array_equal(GpuSurrogate().a, GpuSurrogate().a)
@@ -149,11 +218,10 @@ class TestGpuSurrogate:
 
 
 class TestStorage:
-    def test_hundred_positive_durations(self, tmp_path):
-        reg = host_registry()
-        with StorageScratch(tmp_path / "scratch.bin", block_bytes=4096, repetitions=100) as scratch:
-            writes = run_storage_io("write", scratch, reg, TIMER_SOURCE_ID)
-            reads = run_storage_io("read", scratch, reg, TIMER_SOURCE_ID)
+    def test_hundred_positive_durations(self, host_adapter):
+        adapter = host_adapter()
+        writes = measure_storage(adapter, "storage_write")
+        reads = measure_storage(adapter, "storage_read")
         assert len(writes) == 100 and len(reads) == 100
         assert all(v > 0 for v in writes + reads)
 
@@ -167,13 +235,7 @@ class TestStorage:
             assert scratch.block_bytes == 100 * 1024
             assert scratch.size == 2 * 100 * 1024
 
-    def test_bad_direction(self, tmp_path):
-        reg = host_registry()
-        with StorageScratch(tmp_path / "s.bin", block_bytes=512, repetitions=1) as scratch:
-            with pytest.raises(WorkloadError):
-                run_storage_io("sideways", scratch, reg, TIMER_SOURCE_ID)
-
-    def test_simulated_latency_mean(self):
+    def test_simulated_latency_mean(self, host_adapter, monkeypatch):
         # Simulator-style backend: each op advances a virtual clock by a
         # seeded normal draw around 2 ms; the sample mean over 100 ops must
         # fall within 3*sigma/sqrt(100) of the truth.
@@ -181,7 +243,8 @@ class TestStorage:
         clock = {"t": 0.0}
 
         class FakeScratch:
-            repetitions = 100
+            def __init__(self, path):
+                pass
 
             def invalidate(self, i):
                 pass
@@ -192,17 +255,70 @@ class TestStorage:
             def write_op(self, i):
                 raise AssertionError("not used")
 
+            def close(self):
+                pass
+
+        monkeypatch.setattr(collector, "StorageScratch", FakeScratch)
         reg = CounterRegistry(include_host_timer=False)
         reg.register(CounterSource("cpu-v", Component.CPU, 1e9), lambda: int(clock["t"] * 1e9))
-        deltas = run_storage_io("read", FakeScratch(), reg, "cpu-v")
+        deltas = measure_storage(host_adapter(registry=reg), "storage_read")
+        assert len(deltas) == 100
         mean_s = np.mean(deltas) / 1e9
         assert abs(mean_s - 2e-3) <= 3 * 1e-4 / 10
 
-    def test_side_effects_confined_to_scratch(self, tmp_path):
-        before = set(tmp_path.iterdir())
-        reg = host_registry()
-        with StorageScratch(tmp_path / "scratch.bin", block_bytes=1024, repetitions=8) as scratch:
-            run_storage_io("write", scratch, reg, TIMER_SOURCE_ID)
-            run_storage_io("read", scratch, reg, TIMER_SOURCE_ID)
-        after = set(tmp_path.iterdir())
-        assert after - before == {tmp_path / "scratch.bin"}
+    def test_side_effects_confined_to_scratch(self, host_adapter, tmp_path):
+        adapter = host_adapter()
+        before = set(tmp_path.rglob("*"))
+        measure_storage(adapter, "storage_write")
+        measure_storage(adapter, "storage_read")
+        after = set(tmp_path.rglob("*"))
+        scratch = tmp_path / "host" / "scratch"
+        assert after == before
+        assert {p for p in after if p.is_file()} == {scratch / "scratch.bin", scratch / "fixture.csv"}
+
+
+class TestHostDispatch:
+    """Every binding resolves through KINDS to a runnable host workload."""
+
+    def test_all_bindings_resolve_and_run(self, host_adapter, monkeypatch):
+        adapter = host_adapter()
+        block = workloads.STORAGE_BLOCK_BYTES
+        slept, reads, writes, dropped = [], [], [], []
+        real_pread, real_pwrite, real_fadvise = os.pread, os.pwrite, os.posix_fadvise
+
+        def pread(fd, n, offset):
+            reads.append(offset)
+            return real_pread(fd, n, offset)
+
+        def pwrite(fd, data, offset):
+            writes.append(offset)
+            return real_pwrite(fd, data, offset)
+
+        def fadvise(fd, offset, n, advice):
+            dropped.append(offset)
+            return real_fadvise(fd, offset, n, advice)
+
+        monkeypatch.setattr(time, "sleep", slept.append)
+        monkeypatch.setattr(os, "pread", pread)
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        monkeypatch.setattr(os, "posix_fadvise", fadvise)
+        pairs = [adapter.executable(b) for b in FEATURE_BINDINGS]
+        assert len(pairs) == 215
+        for binding, (prepare, workload) in zip(FEATURE_BINDINGS, pairs):
+            assert callable(workload)
+            assert prepare is None or binding.workload_id == "storage_read"
+            if prepare is not None:
+                prepare()
+            workload()
+        assert slept == [1.0, 2.0, 5.0, 10.0, 120.0]
+        own_blocks = [i * block for i in range(100)]
+        assert writes == own_blocks
+        assert reads == own_blocks
+        assert dropped == own_blocks
+        surrogate = adapter._state.surrogate
+        assert np.array_equal(surrogate.out, surrogate.a)  # gpu_scopy ran last on the GPU
+
+    def test_not_set_up(self, tmp_path):
+        adapter = HostAdapter(SessionConfig("02:00:00:00:00:01", "Host", tmp_path))
+        with pytest.raises(collector.SessionError, match="not set up"):
+            adapter.executable(FEATURE_BINDINGS[0])
