@@ -480,6 +480,21 @@ def kfold_macro_f1(
 # Correlation and densities
 # ---------------------------------------------------------------------------
 
+def _deviations(v: np.ndarray) -> np.ndarray:
+    """``v - mean(v)``; near float64 max, of ``v`` pre-scaled by a power of two.
+
+    The sum or a deviation overflows there; a power-of-two scale is exact
+    and leaves the correlation as it is. Input that does not overflow takes
+    the plain path, so its result is unchanged.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = v - v.mean()
+    if np.isfinite(d).all():
+        return d
+    v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+    return v - v.mean()
+
+
 def pearson(x, y) -> float:
     """Product-moment correlation; undefined (raises) for constant input."""
     x = np.asarray(x, dtype=np.float64)
@@ -488,8 +503,8 @@ def pearson(x, y) -> float:
         raise ValueError("x and y must be 1-D vectors of equal length")
     if len(x) < 2:
         raise ValueError("need at least 2 points")
-    dx = x - x.mean()
-    dy = y - y.mean()
+    dx = _deviations(x)
+    dy = _deviations(y)
     span_x = np.abs(dx).max()
     span_y = np.abs(dy).max()
     if span_x == 0 or span_y == 0:

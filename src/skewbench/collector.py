@@ -11,6 +11,12 @@ power loss mid-write is cut off at the next session start and kept in
 ``<file>.torn`` (the same for ``MAC-Model.txt``), and a session appends only
 to a CSV whose header is the 218-column schema.
 
+A session backend supplies the counters and the workloads: ``HostAdapter``
+for the real host, ``VirtualAdapter`` for a simulated device in virtual
+time. After the backend's setup, the session resolves each of the 215
+bindings to its ``(prepare, workload, observer)`` bracket once
+(:func:`bracket_plan`), and every sample measures through that plan.
+
 The preflight only observes the host; it never mutates system state.
 Applying the stability measures (fixed frequency governor, elevated
 priority, ASLR off, core isolation, a fixed hash seed environment) is the
@@ -32,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from . import schema, workloads
-from .probes import CounterRegistry, host_registry, observer_for
-from .simulator import VirtualDevice, VirtualDeviceRuntime
+from .probes import Component, CounterRegistry, CounterSource, host_registry, observer_for
+from .simulator import RowStream, VirtualDevice
 from .workloads import (
     FEATURE_BINDINGS,
     KIND_BY_ID,
@@ -45,6 +51,9 @@ from .workloads import (
 
 SCHED_FIFO = 1
 SCHED_RR = 2
+
+CPU_SIM_SOURCE_ID = "cpu-sim"
+GPU_SIM_SOURCE_ID = "gpu-sim"
 
 
 class SessionError(RuntimeError):
@@ -335,18 +344,35 @@ class HostAdapter:
 
 
 class VirtualAdapter:
-    """Session backend for a simulated device running in virtual time."""
+    """Session backend for a simulated device running in virtual time.
+
+    Each sample replays the next row of a :class:`simulator.RowStream`:
+    reading the temperature starts it, and each workload adds its feature
+    value to the counter that observes it (``gpu-sim`` for CPU work,
+    ``cpu-sim`` for the rest). Every bracket delta is so the simulated
+    value, and a session writes exactly the simulator's rows.
+    """
 
     is_virtual = True
 
-    def __init__(self, runtime: VirtualDeviceRuntime):
-        self.runtime = runtime
-        self.registry = runtime.registry()
+    def __init__(self, device: VirtualDevice, start_time: float, seed: int):
+        self.samples_done = 0
+        self._rows = RowStream(device, start_time, seed)
+        self._values: list[float] | None = None
+        self._cursor = len(FEATURE_BINDINGS)
+        self._counts = {CPU_SIM_SOURCE_ID: 0, GPU_SIM_SOURCE_ID: 0}
+        self.registry = CounterRegistry(include_host_timer=False)
+        self.registry.register(CounterSource(CPU_SIM_SOURCE_ID, Component.CPU, 1e9),
+                               lambda: self._counts[CPU_SIM_SOURCE_ID])
+        self.registry.register(CounterSource(GPU_SIM_SOURCE_ID, Component.GPU,
+                                             device.model.gpu_freq_hz),
+                               lambda: self._counts[GPU_SIM_SOURCE_ID])
 
     @classmethod
     def for_device(cls, device: VirtualDevice, start_time: float,
                    sample_seed: int | None = None) -> "VirtualAdapter":
-        return cls(VirtualDeviceRuntime(device, start_time, sample_seed))
+        """Replay the rows seeded by ``sample_seed``, or by the device's own seed."""
+        return cls(device, start_time, device.rng_seed if sample_seed is None else sample_seed)
 
     def setup(self) -> None:
         pass
@@ -355,24 +381,62 @@ class VirtualAdapter:
         pass
 
     def now(self) -> float:
-        return self.runtime.now()
+        """Virtual time on the sample schedule ``start + k * sample cost``."""
+        return self._rows.start_time + self.samples_done * self._rows.vectors.sample_wallclock_s
 
     def preflight(self) -> StabilityReport:
         return simulated_stability_report()
 
     def read_temperature(self) -> float:
-        return self.runtime.read_temperature()
+        """Begin a sample: take the next simulated row."""
+        if self._cursor < len(FEATURE_BINDINGS):
+            raise RuntimeError("previous sample still in progress")
+        row = self._rows.take(1)[0].tolist()
+        self._values = row[schema.FEATURE_OFFSET:]
+        self._cursor = 0
+        return row[schema.TEMPERATURE_INDEX]
 
     def backend_names(self) -> dict[str, str]:
         return {"gpu": "simulator", "hash": "simulator"}
 
     def executable(self, binding: FeatureBinding):
-        return self.runtime.executable(binding)
+        """(prepare, workload) pair for the collector's measurement bracket."""
+        index = schema.FEATURE_COLUMNS.index(binding.column)
+        observer = GPU_SIM_SOURCE_ID if binding.target_component is Component.CPU else CPU_SIM_SOURCE_ID
+
+        def workload():
+            if self._values is None:
+                raise RuntimeError("read_temperature must start the sample")
+            if self._cursor != index:
+                raise RuntimeError(
+                    f"workload order mismatch: expected "
+                    f"{FEATURE_BINDINGS[self._cursor].column}, got {binding.column}"
+                )
+            self._counts[observer] += int(self._values[index])
+            self._cursor += 1
+            if self._cursor == len(FEATURE_BINDINGS):
+                self.samples_done += 1
+
+        return None, workload
 
 
-def collect_sample(config: SessionConfig, adapter) -> schema.SampleVector:
+def bracket_plan(adapter) -> list[tuple]:
+    """Each binding's ``(prepare, workload, observer id)``, in schema order.
+
+    Resolved once per session, after ``adapter.setup()``; every sample of
+    the session measures through it.
+    """
+    registry = adapter.registry
+    return [
+        (*adapter.executable(binding), observer_for(registry, binding.target_component).id)
+        for binding in FEATURE_BINDINGS
+    ]
+
+
+def collect_sample(config: SessionConfig, adapter, plan: list[tuple]) -> schema.SampleVector:
     """Assemble one complete row: timestamp, temperature, then every feature
-    in schema order, each measured through its cross-component bracket.
+    in schema order, each measured through its cross-component bracket of
+    ``plan`` (see :func:`bracket_plan`).
 
     Any workload or measurement failure propagates and the partial sample is
     discarded by the caller; no row is ever half-written.
@@ -380,15 +444,11 @@ def collect_sample(config: SessionConfig, adapter) -> schema.SampleVector:
     values = np.empty(schema.DEFAULT_SCHEMA.n_numeric)
     values[schema.TIMESTAMP_INDEX] = adapter.now()
     values[schema.TEMPERATURE_INDEX] = adapter.read_temperature()
-    registry = adapter.registry
-    for i, binding in enumerate(FEATURE_BINDINGS):
-        prepare, workload = adapter.executable(binding)
+    measure = adapter.registry.measure
+    for i, (binding, (prepare, workload, observer_id)) in enumerate(zip(FEATURE_BINDINGS, plan)):
         if prepare is not None:
             prepare()
-        observer = observer_for(registry, binding.target_component)
-        measurement = registry.measure(
-            observer.id, binding.target_component, binding.column, workload
-        )
+        measurement = measure(observer_id, binding.target_component, binding.column, workload)
         values[schema.FEATURE_OFFSET + i] = float(measurement.delta)
     sample = schema.SampleVector(values, config.device_mac)
     sample.validate()
@@ -492,15 +552,13 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
         gc_was_enabled = gc.isenabled()
         if not adapter.is_virtual and gc_was_enabled:
             gc.disable()
-        adapter.setup()
         rows_written = 0
         abort_reason: str | None = None
         try:
+            adapter.setup()
+            plan = bracket_plan(adapter)
             log.add("backends", **adapter.backend_names())
-            observers = sorted(
-                {observer_for(adapter.registry, b.target_component).id for b in FEATURE_BINDINGS}
-            )
-            for observer_id in observers:
+            for observer_id in sorted({observer for _, _, observer in plan}):
                 log.add("bracket_overhead", **adapter.registry.measure_overhead(observer_id))
 
             _repair_torn_tail(config.working_dir / schema.MAC_MODEL_FILENAME, log)
@@ -515,7 +573,7 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
                     fh.flush()
                 for index in range(config.samples_per_session):
                     try:
-                        sample = collect_sample(config, adapter)
+                        sample = collect_sample(config, adapter, plan)
                     except SessionError:
                         raise
                     except KeyboardInterrupt:

@@ -70,22 +70,16 @@ TIMER_SOURCE = CounterSource(TIMER_SOURCE_ID, Component.TIMER, 1e9, monotonic=Tr
 
 
 class CounterRegistry:
-    """Named counter backends plus measurement and calibration brackets.
+    """Named counter backends plus measurement brackets.
 
     A registry is bound to the thread that uses it; brackets are strictly
-    single-threaded. ``idle`` is the wait primitive used by
-    :meth:`calibrate` (real hosts sleep, virtual devices advance their
-    clock).
+    single-threaded. ``include_host_timer`` registers the monotonic
+    nanosecond timer as source ``timer``.
     """
 
-    def __init__(
-        self,
-        include_host_timer: bool = True,
-        idle: Callable[[float], None] | None = None,
-    ):
+    def __init__(self, include_host_timer: bool = True):
         self._sources: dict[str, CounterSource] = {}
         self._readers: dict[str, Callable[[], int]] = {}
-        self._idle = idle if idle is not None else time.sleep
         if include_host_timer:
             self.register(TIMER_SOURCE, time.perf_counter_ns)
 
@@ -177,26 +171,6 @@ class CounterRegistry:
             "mean": float(statistics.fmean(deltas)),
             "max": float(max(deltas)),
         }
-
-    def calibrate(self, source_id: str, reference_id: str, interval_s: float) -> float:
-        """Frequency ratio delta(source)/delta(reference) over the interval."""
-        if source_id == reference_id:
-            self.source(source_id)
-            return 1.0
-        source = self.source(source_id)
-        reference = self.source(reference_id)
-        read_src = self._readers[source_id]
-        read_ref = self._readers[reference_id]
-        src_before = read_src()
-        ref_before = read_ref()
-        self._idle(interval_s)
-        src_after = read_src()
-        ref_after = read_ref()
-        d_src = self._delta(source, int(src_before), int(src_after))
-        d_ref = self._delta(reference, int(ref_before), int(ref_after))
-        if d_ref == 0:
-            raise MeasurementInvalid(f"reference {reference_id} did not advance")
-        return d_src / d_ref
 
 
 def host_registry() -> CounterRegistry:

@@ -17,19 +17,24 @@ where ``base`` is duration * nominal GPU frequency for CPU-side features
 (observed in GPU cycles) and the nominal duration in nanoseconds for
 everything else (observed in CPU-side time). ``T(t)`` follows a daily
 sinusoid plus Gaussian noise and is deterministic in (seed, t).
+
+:class:`RowStream` is the one generator of a device's rows. Fleets take
+their rows from it through :func:`simulate_device_rows`, and the
+collector's virtual backend takes one row per sample from it, so a virtual
+session writes exactly the simulator's rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import schema
-from .probes import Component, CounterRegistry, CounterSource
-from .workloads import FEATURE_BINDINGS, KIND_BY_ID, KINDS, FeatureBinding
+from .probes import Component
+from .workloads import FEATURE_BINDINGS, KIND_BY_ID, KINDS
 
 PPM = 1e-6
 SECONDS_PER_DAY = 86400.0
@@ -40,12 +45,8 @@ NON_SLEEP_KINDS = tuple(k.id for k in KINDS if not k.sleep)
 # The columns that write_center_split moves.
 _STORAGE_WRITE_MASK = np.array([b.workload_id == "storage_write" for b in FEATURE_BINDINGS])
 
-# Rows simulated per normal draw; any size gives the same stream and rows.
+# Rows per normal draw in RowStream.take; any size gives the same stream and rows.
 SIMULATION_BLOCK_ROWS = 64
-
-CPU_SIM_SOURCE_ID = "cpu-sim"
-GPU_SIM_SOURCE_ID = "gpu-sim"
-TIMER_SIM_SOURCE_ID = "timer-sim"
 
 
 @dataclass(frozen=True)
@@ -221,52 +222,53 @@ def feature_expectation(
     return float(_expectation_vector(device, vectors, temperature_c)[i])
 
 
-def sample_values(
-    device: VirtualDevice, vectors: ModelVectors, t: float, rng: np.random.Generator
-) -> tuple[float, np.ndarray]:
-    """One sample: measured temperature plus all 215 rounded feature values.
+class RowStream:
+    """One device's numeric rows in order: timestamp, temperature, then the
+    215 rounded feature values.
 
-    Consumes exactly one scalar normal (temperature noise) and one batch of
-    215 normals (per-feature jitter), in that order.
+    Row ``k`` is timestamped ``start_time + k * sample cost``. All rows come
+    from one normal stream seeded by ``seed``; each row takes 216 draws, the
+    temperature noise and then the 215 jitters. :meth:`take` continues where
+    the last call stopped, so the rows do not depend on how many are taken
+    at a time.
     """
-    z = rng.standard_normal()
-    temperature = modeled_temperature(device.model.temp_profile, t) + device.model.temp_profile.noise_sigma_c * z
-    eps = rng.standard_normal(len(FEATURE_BINDINGS))
-    values = _expectation_vector(device, vectors, temperature) * (1.0 + vectors.jitter * eps)
-    return temperature, np.maximum(np.rint(values), 1.0)
+
+    def __init__(self, device: VirtualDevice, start_time: float, seed: int):
+        self.device = device
+        self.vectors = model_vectors(device.model)
+        self.start_time = start_time
+        self._taken = 0
+        self._rng = np.random.default_rng(seed)
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` rows, as an ``(n, 217)`` array."""
+        vectors = self.vectors
+        profile = self.device.model.temp_profile
+        cost = vectors.sample_wallclock_s
+        rows = np.empty((n, 2 + len(FEATURE_BINDINGS)))
+        rows[:, 0] = [self.start_time + k * cost for k in range(self._taken, self._taken + n)]
+        # scalar math.sin per row: np.sin may differ from it in the last ulp
+        rows[:, 1] = [modeled_temperature(profile, t) for t in rows[:, 0].tolist()]
+        # Blocks keep the temporaries small however many rows are asked for.
+        for lo in range(0, n, SIMULATION_BLOCK_ROWS):
+            block = rows[lo : lo + SIMULATION_BLOCK_ROWS]
+            draws = self._rng.standard_normal((len(block), 1 + len(FEATURE_BINDINGS)))
+            block[:, 1] += profile.noise_sigma_c * draws[:, 0]
+            jitter = draws[:, 1:]
+            jitter *= vectors.jitter
+            jitter += 1.0
+            values = _expectation_vector(self.device, vectors, block[:, 1:2])
+            values *= jitter
+            np.maximum(np.rint(values, out=values), 1.0, out=block[:, 2:])
+        self._taken += n
+        return rows
 
 
 def simulate_device_rows(
     device: VirtualDevice, n_samples: int, start_time: float
 ) -> np.ndarray:
-    """``(n, 217)`` numeric rows for one device: timestamp, temperature, features.
-
-    The same rows as calling :func:`sample_values` once per sample. Each
-    block of rows takes one ``(rows, 216)`` normal draw: column 0 is the
-    temperature noise and columns 1-215 the jitters, the order in which the
-    per-sample draws consume the stream.
-    """
-    vectors = model_vectors(device.model)
-    cost = vectors.sample_wallclock_s
-    profile = device.model.temp_profile
-    rng = np.random.default_rng(device.rng_seed)
-    rows = np.empty((n_samples, 2 + len(FEATURE_BINDINGS)))
-    rows[:, 0] = [start_time + k * cost for k in range(n_samples)]
-    # scalar math.sin per row: np.sin may differ from it in the last ulp
-    rows[:, 1] = [modeled_temperature(profile, t) for t in rows[:, 0].tolist()]
-    # Blocks keep the temporaries small however many samples are asked for.
-    for lo in range(0, n_samples, SIMULATION_BLOCK_ROWS):
-        block = rows[lo : lo + SIMULATION_BLOCK_ROWS]
-        draws = rng.standard_normal((len(block), 1 + len(FEATURE_BINDINGS)))
-        block[:, 1] += profile.noise_sigma_c * draws[:, 0]
-        # in place, the same operations in the same order as sample_values
-        jitter = draws[:, 1:]
-        jitter *= vectors.jitter
-        jitter += 1.0
-        values = _expectation_vector(device, vectors, block[:, 1:2])
-        values *= jitter
-        np.maximum(np.rint(values, out=values), 1.0, out=block[:, 2:])
-    return rows
+    """The first ``n_samples`` rows of the device's own :class:`RowStream`."""
+    return RowStream(device, start_time, device.rng_seed).take(n_samples)
 
 
 def simulate_dataset(
@@ -283,105 +285,6 @@ def simulate_dataset(
 
 def simulate_farm_dataset(config: FarmConfig) -> schema.Dataset:
     return simulate_dataset(make_farm(config), config.samples_per_device, config.start_time)
-
-
-class VirtualDeviceRuntime:
-    """Counter sources and virtual workload execution for one device.
-
-    Used by the collector to run sessions in virtual time: each workload
-    execution advances integer counters so the observer's bracket delta is
-    exactly the simulated feature value, and advances the virtual clock by
-    the workload's nominal duration. Sessions driven through this runtime
-    produce the same rows as :func:`simulate_device_rows` under the same
-    seed.
-    """
-
-    def __init__(self, device: VirtualDevice, start_time: float, sample_seed: int | None = None):
-        self.device = device
-        self.vectors = model_vectors(device.model)
-        self.start_time = float(start_time)
-        self.clock = float(start_time)
-        self.samples_done = 0
-        self.rng = np.random.default_rng(device.rng_seed if sample_seed is None else sample_seed)
-        self._rates = {
-            CPU_SIM_SOURCE_ID: 1e9 * (1.0 + device.cpu_skew_ppm * PPM),
-            GPU_SIM_SOURCE_ID: device.model.gpu_freq_hz * (1.0 + device.gpu_skew_ppm * PPM),
-            TIMER_SIM_SOURCE_ID: 1e9 * (1.0 + device.cpu_skew_ppm * PPM),
-        }
-        self._counters = {name: 0 for name in self._rates}
-        self._sample_temperature: float | None = None
-        self._sample_values: np.ndarray | None = None
-        self._cursor = 0
-
-    def registry(self) -> CounterRegistry:
-        reg = CounterRegistry(include_host_timer=False, idle=self.advance)
-        reg.register(
-            CounterSource(CPU_SIM_SOURCE_ID, Component.CPU, 1e9),
-            lambda: self._counters[CPU_SIM_SOURCE_ID],
-        )
-        reg.register(
-            CounterSource(GPU_SIM_SOURCE_ID, Component.GPU, self.device.model.gpu_freq_hz),
-            lambda: self._counters[GPU_SIM_SOURCE_ID],
-        )
-        reg.register(
-            CounterSource(TIMER_SIM_SOURCE_ID, Component.TIMER, 1e9),
-            lambda: self._counters[TIMER_SIM_SOURCE_ID],
-        )
-        return reg
-
-    def now(self) -> float:
-        """Virtual time; exact sample-boundary schedule between samples.
-
-        Sessions run on a logical schedule of ``start + k * sample_cost``;
-        idling between samples (calibration intervals) does not shift it.
-        """
-        if self._sample_values is None or self._cursor == len(FEATURE_BINDINGS):
-            return self.start_time + self.samples_done * self.vectors.sample_wallclock_s
-        return self.clock
-
-    def advance(self, dt: float) -> None:
-        """Idle in virtual time (calibration intervals, supervisor waits)."""
-        self.clock += dt
-        for name, rate in self._rates.items():
-            self._counters[name] += int(round(rate * dt))
-
-    def read_temperature(self) -> float:
-        """Begin a sample: draw its temperature and feature jitters."""
-        if self._sample_values is not None and self._cursor < len(self._sample_values):
-            raise RuntimeError("previous sample still in progress")
-        self.clock = self.start_time + self.samples_done * self.vectors.sample_wallclock_s
-        temperature, values = sample_values(self.device, self.vectors, self.clock, self.rng)
-        self._sample_temperature = temperature
-        self._sample_values = values
-        self._cursor = 0
-        return temperature
-
-    def executable(self, binding: FeatureBinding):
-        """(prepare, workload) pair for the collector's measurement bracket."""
-
-        def workload():
-            if self._sample_values is None:
-                raise RuntimeError("read_temperature must start the sample")
-            i = self._cursor
-            if FEATURE_BINDINGS[i].column != binding.column:
-                raise RuntimeError(
-                    f"workload order mismatch: expected {FEATURE_BINDINGS[i].column}, "
-                    f"got {binding.column}"
-                )
-            value = int(self._sample_values[i])
-            observer = GPU_SIM_SOURCE_ID if binding.target_component is Component.CPU else CPU_SIM_SOURCE_ID
-            duration = float(self.vectors.duration_s[i])
-            for name, rate in self._rates.items():
-                if name == observer:
-                    self._counters[name] += value
-                else:
-                    self._counters[name] += int(round(rate * duration))
-            self.clock += duration
-            self._cursor += 1
-            if self._cursor == len(FEATURE_BINDINGS):
-                self.samples_done += 1
-
-        return None, workload
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +439,17 @@ def model_spec_to_json(spec: DeviceModelSpec) -> dict:
     }
 
 
+def _check_keys(obj: Mapping, known: Iterable[str], what: str) -> None:
+    """Refuse unknown keys: a misspelt key must not leave its field at the default."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"{what}: unknown keys {unknown}")
+
+
 def model_spec_from_json(obj: Mapping) -> DeviceModelSpec:
+    _check_keys(obj, [f.name for f in fields(DeviceModelSpec)], "model spec")
     profile = obj.get("temp_profile", {})
+    _check_keys(profile, [f.name for f in fields(TempProfile)], "temp_profile")
     return DeviceModelSpec(
         model_name=obj["model_name"],
         cpu_freq_hz=float(obj["cpu_freq_hz"]),
@@ -572,6 +484,9 @@ def farm_config_to_json(config: FarmConfig) -> dict:
 
 
 def farm_config_from_json(obj: Mapping) -> FarmConfig:
+    _check_keys(obj, [f.name for f in fields(FarmConfig)], "farm config")
+    for entry in obj["models"]:
+        _check_keys(entry, ("count", "spec"), "models entry")
     return FarmConfig(
         models=tuple(
             (model_spec_from_json(entry["spec"]), int(entry["count"]))

@@ -683,6 +683,26 @@ class TestPearson:
         scaled = pearson(scale * x + b, y)
         assert scaled == pytest.approx(math.copysign(1, scale) * base, abs=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=-1e3, max_value=1e3).filter(lambda v: v == 0 or abs(v) >= 1e-3),
+                 min_size=2, max_size=20),
+        st.integers(min_value=-900, max_value=1013),
+    )
+    # the mean of x overflows float64
+    @example(xs=[1e308, 1e308, -1e308, 0.0], k=0)
+    @example(xs=[1.0, 1.0, -1.0, 0.0], k=1023)
+    def test_power_of_two_scale_exact(self, xs, k):
+        # Scaling by 2**k is exact while every value stays normal, so the
+        # result must not move by a single bit, up to float64 max.
+        x = np.array(xs)
+        y = np.arange(1.0, len(x) + 1)
+        scaled = np.ldexp(x, k)
+        assume(np.isfinite(scaled).all() and len(set(scaled.tolist())) > 1)
+        result = pearson(scaled, y)
+        assert math.isfinite(result)
+        assert result == pearson(x, y)
+
     def test_symmetry(self):
         rng = np.random.default_rng(32)
         x, y = rng.normal(size=(2, 25))

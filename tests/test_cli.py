@@ -84,6 +84,16 @@ class TestSimulate:
         assert code == 1
         assert "nope.json" in capsys.readouterr().err
 
+    def test_misspelt_config_key_exits_1(self, tmp_path, capsys, tiny_farm_config):
+        obj = json.loads(tiny_farm_config.read_text())
+        obj["samples_per_devic"] = 7
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps(obj))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "samples_per_devic" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unwritable_out_exits_1_without_traceback(self, tmp_path, capsys, tiny_farm_config):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skewbench import collector, schema
+from skewbench import collector, schema, simulator
 from skewbench.collector import (
     CheckStatus,
     DegradedEnvironment,
@@ -20,6 +21,7 @@ from skewbench.collector import (
     PlatformProbe,
     SessionConfig,
     VirtualAdapter,
+    bracket_plan,
     collect_sample,
     preflight,
     read_temperature,
@@ -183,7 +185,7 @@ class TestCollectSample:
         device = sim_device(seed=11)
         adapter = VirtualAdapter.for_device(device, start_time=500.0)
         config = sim_config(tmp_path)
-        sample = collect_sample(config, adapter)
+        sample = collect_sample(config, adapter, bracket_plan(adapter))
         expected = simulate_device_rows(device, 1, start_time=500.0)[0]
         assert np.array_equal(sample.values, expected)
         assert sample.label == MAC
@@ -191,8 +193,9 @@ class TestCollectSample:
     def test_two_samples_monotone_timestamps(self, tmp_path):
         adapter = VirtualAdapter.for_device(sim_device(), start_time=0.0)
         config = sim_config(tmp_path)
-        first = collect_sample(config, adapter)
-        second = collect_sample(config, adapter)
+        plan = bracket_plan(adapter)
+        first = collect_sample(config, adapter, plan)
+        second = collect_sample(config, adapter, plan)
         assert second.timestamp >= first.timestamp
 
     def test_exactly_one_workload_invocation_per_bracket(self, tmp_path, monkeypatch):
@@ -212,7 +215,7 @@ class TestCollectSample:
 
         monkeypatch.setattr(CounterRegistry, "measure", spy)
         adapter = VirtualAdapter.for_device(sim_device(), start_time=0.0)
-        collect_sample(sim_config(tmp_path), adapter)
+        collect_sample(sim_config(tmp_path), adapter, bracket_plan(adapter))
         assert len(counts) == 215
         assert all(c == 1 for c in counts)
 
@@ -227,7 +230,7 @@ class TestCollectSample:
             return original(observer_id, observed_component, workload_id, workload, duration_tag)
 
         adapter.registry.measure = spy
-        collect_sample(sim_config(tmp_path), adapter)
+        collect_sample(sim_config(tmp_path), adapter, bracket_plan(adapter))
         observers = dict(((w, o) for o, w in seen))
         assert observers["cpu_sleep_1s"] == "gpu-sim"
         assert observers["cpu_fib"] == "gpu-sim"
@@ -362,6 +365,69 @@ class TestRunSession:
         config = sim_config(tmp_path, samples=1)
         run_session(config, VirtualAdapter.for_device(sim_device(), 0.0))
         assert gc.isenabled()
+
+    def test_failed_host_setup_restores_gc_and_ends_session(self, tmp_path):
+        torn_down = []
+
+        class BrokenSetup(HostAdapter):
+            def setup(self):
+                raise OSError("scratch device missing")
+
+            def teardown(self):
+                torn_down.append(True)
+                super().teardown()
+
+        assert gc.isenabled()
+        config = sim_config(tmp_path, samples=1, allow_degraded=True)
+        with pytest.raises(OSError, match="scratch device missing"):
+            run_session(config, BrokenSetup(config, probe=FakeProbe(tmp_path / "root")))
+        assert gc.isenabled()
+        assert torn_down == [True]
+        log_path = tmp_path / f"{MAC.replace(':', '-')}.session.jsonl"
+        events = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [e["event"] for e in events] == ["session_start", "preflight", "session_end"]
+        assert events[-1]["rows_written"] == 0
+
+    def test_brackets_resolved_once_per_session(self, tmp_path, monkeypatch):
+        calls = {"executable": 0, "observer_for": 0}
+        executable = VirtualAdapter.executable
+        observer_for = collector.observer_for
+
+        def counted_executable(self, binding):
+            calls["executable"] += 1
+            return executable(self, binding)
+
+        def counted_observer_for(registry, target):
+            calls["observer_for"] += 1
+            return observer_for(registry, target)
+
+        monkeypatch.setattr(VirtualAdapter, "executable", counted_executable)
+        monkeypatch.setattr(collector, "observer_for", counted_observer_for)
+        result = run_session(sim_config(tmp_path, samples=3), VirtualAdapter.for_device(sim_device(), 0.0))
+        assert result.rows_written == 3
+        assert calls == {"executable": 215, "observer_for": 215}
+
+    def test_session_replays_row_stream_across_block_boundary(self, tmp_path):
+        device = sim_device(seed=3)
+        adapter = VirtualAdapter.for_device(device, 50.0, sample_seed=99)
+        run_session(sim_config(tmp_path, samples=130), adapter)
+        expected = simulator.RowStream(device, 50.0, 99).take(130)
+        assert np.array_equal(schema.read_dataset(tmp_path).rows(MAC), expected)
+
+    def test_fixed_seed_sessions_digest(self, tmp_path):
+        """Every output byte of four seeded virtual sessions, CSVs, journals
+        and MAC-Model.txt, is pinned."""
+        models = tuple((spec, 1) for spec, _ in simulator.default_farm_config().models)
+        farm = simulator.make_farm(simulator.FarmConfig(models=models, master_seed=3))
+        for device in farm:
+            config = SessionConfig(device.mac, device.model.model_name, tmp_path,
+                                   samples_per_session=130, seed=4)
+            run_session(config, VirtualAdapter.for_device(device, 1_700_000_000.0, sample_seed=17))
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir(), key=lambda p: p.name):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == "67a508bef54424c7585631865fc9d80421acb05e988e49fdf689dcab2da9066f"
 
 
 class TestTornTail:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from skewbench import schema, simulator
+from skewbench.collector import VirtualAdapter
 from skewbench.simulator import (
     DeviceModelSpec,
     FarmConfig,
     TempProfile,
     VirtualDevice,
-    VirtualDeviceRuntime,
+    _expectation_vector,
     default_farm_config,
     default_models,
     farm_config_from_json,
@@ -21,11 +22,22 @@ from skewbench.simulator import (
     make_farm,
     model_vectors,
     modeled_temperature,
-    sample_values,
     simulate_dataset,
     simulate_device_rows,
     with_heterogeneous_scales,
 )
+from skewbench.workloads import FEATURE_BINDINGS
+
+
+def sample_values(device, vectors, t, rng):
+    """Per-sample oracle: the measured temperature and all 215 rounded
+    feature values of one sample, from one scalar normal (temperature noise)
+    and then one batch of 215 normals (jitters)."""
+    z = rng.standard_normal()
+    temperature = modeled_temperature(device.model.temp_profile, t) + device.model.temp_profile.noise_sigma_c * z
+    eps = rng.standard_normal(len(FEATURE_BINDINGS))
+    values = _expectation_vector(device, vectors, temperature) * (1.0 + vectors.jitter * eps)
+    return temperature, np.maximum(np.rint(values), 1.0)
 
 
 def quiet_model(**overrides) -> DeviceModelSpec:
@@ -148,8 +160,7 @@ class TestClosedForm:
 
     def test_values_rounded_to_counts(self):
         dev = explicit_device(quiet_model(jitter_sigma=5e-4))
-        rng = np.random.default_rng(1)
-        _, values = sample_values(dev, model_vectors(dev.model), 0.0, rng)
+        values = simulate_device_rows(dev, 3, 0.0)[:, 2:]
         assert np.array_equal(values, np.rint(values))
 
 
@@ -254,33 +265,35 @@ class TestSimulatedData:
 
 
 class TestRuntime:
+    """The virtual session backend replays the simulator's rows."""
+
     def test_sources(self):
         dev = make_device(default_models()["RPi4like"], "02:53:42:00:00:00", 1)
-        reg = VirtualDeviceRuntime(dev, 0.0).registry()
-        ids = {s.id for s in reg.sources()}
-        assert {"cpu-sim", "gpu-sim", "timer-sim"} <= ids
-
-    def test_calibrate_reflects_gpu_skew(self):
-        dev = explicit_device(quiet_model(), gpu_skew=100.0)
-        reg = VirtualDeviceRuntime(dev, 0.0).registry()
-        ratio = reg.calibrate("gpu-sim", "timer-sim", 1.0)
-        assert ratio == pytest.approx(0.5 * 1.0001, rel=1e-6)
+        reg = VirtualAdapter.for_device(dev, 0.0).registry
+        assert {s.id for s in reg.sources()} == {"cpu-sim", "gpu-sim"}
 
     def test_counters_monotonic_through_samples(self):
         dev = make_device(default_models()["RPi4like"], "02:53:42:00:00:00", 5)
-        runtime = VirtualDeviceRuntime(dev, 0.0)
-        reg = runtime.registry()
-        runtime.read_temperature()
-        last = reg.read("gpu-sim").value
-        from skewbench.workloads import FEATURE_BINDINGS
-
+        adapter = VirtualAdapter.for_device(dev, 0.0)
+        reg = adapter.registry
+        adapter.read_temperature()
+        last = {source_id: reg.read(source_id).value for source_id in ("cpu-sim", "gpu-sim")}
         for binding in FEATURE_BINDINGS:
-            _, workload = runtime.executable(binding)
+            _, workload = adapter.executable(binding)
             workload()
-            now = reg.read("gpu-sim").value
-            assert now >= last
-            last = now
-        assert runtime.samples_done == 1
+            for source_id, value in last.items():
+                now = reg.read(source_id).value
+                assert now >= value
+                last[source_id] = now
+        assert adapter.samples_done == 1
+
+    def test_workload_order_enforced(self):
+        adapter = VirtualAdapter.for_device(explicit_device(quiet_model()), 0.0)
+        adapter.read_temperature()
+        with pytest.raises(RuntimeError, match="workload order mismatch"):
+            adapter.executable(FEATURE_BINDINGS[1])[1]()
+        with pytest.raises(RuntimeError, match="previous sample still in progress"):
+            adapter.read_temperature()
 
 
 class TestConfigJson:
@@ -307,3 +320,21 @@ class TestConfigJson:
         spec = simulator.model_spec_from_json(obj)
         assert spec.skew_sigma_ppm == 200.0
         assert spec.jitter_sigma == 5e-4
+
+    @pytest.mark.parametrize("where, key", [
+        ("spec", "jitter_sigmaa"),
+        ("temp_profile", "mean"),
+        ("farm", "samples_per_devic"),
+        ("entry", "weight"),
+    ])
+    def test_unknown_key_rejected(self, where, key):
+        obj = farm_config_to_json(default_farm_config())
+        target = {
+            "spec": obj["models"][0]["spec"],
+            "temp_profile": obj["models"][0]["spec"]["temp_profile"],
+            "farm": obj,
+            "entry": obj["models"][0],
+        }[where]
+        target[key] = 0.5
+        with pytest.raises(ValueError, match=key):
+            farm_config_from_json(obj)
