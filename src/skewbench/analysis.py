@@ -450,32 +450,6 @@ def evaluate(model, test: FeatureMatrix) -> ClassificationReport:
     return classification_report(test.labels, predictions, model.classes_)
 
 
-def kfold_macro_f1(
-    m: FeatureMatrix,
-    kind: str,
-    hyperparams: dict | None = None,
-    folds: int = 5,
-    seed: int = 0,
-) -> list[float]:
-    """Stratified k-fold macro-F1 over a training matrix, for
-    hyperparameter selection."""
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    rng = np.random.default_rng(seed)
-    fold_of = np.empty(m.n_rows, dtype=int)
-    for label in np.unique(m.labels):
-        idx = rng.permutation(np.flatnonzero(m.labels == label))
-        fold_of[idx] = np.arange(len(idx)) % folds
-    scores = []
-    for fold in range(folds):
-        test_mask = fold_of == fold
-        train = m.select_rows(~test_mask)
-        test = m.select_rows(test_mask)
-        model = train_classifier(kind, train, hyperparams, seed=seed)
-        scores.append(evaluate(model, test).macro_f1)
-    return scores
-
-
 # ---------------------------------------------------------------------------
 # Correlation and densities
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ to a CSV whose header is the 218-column schema.
 A session backend supplies the counters and the workloads: ``HostAdapter``
 for the real host, ``VirtualAdapter`` for a simulated device in virtual
 time. After the backend's setup, the session resolves each of the 215
-bindings to its ``(prepare, workload, observer)`` bracket once
-(:func:`bracket_plan`), and every sample measures through that plan.
+bindings once (:func:`bracket_plan`): its workload, the observer counter's
+reader and wrap period, with the cross-component check done there. Each
+sample then runs the brackets itself (:func:`collect_sample`): read,
+workload, read, and the modular delta check of ``probes.counter_delta``.
 
 The preflight only observes the host; it never mutates system state.
 Applying the stability measures (fixed frequency governor, elevated
@@ -38,7 +40,15 @@ from pathlib import Path
 import numpy as np
 
 from . import schema, workloads
-from .probes import Component, CounterRegistry, CounterSource, host_registry, observer_for
+from .probes import (
+    Component,
+    CounterRegistry,
+    CounterSource,
+    MeasurementInvalid,
+    counter_delta,
+    host_registry,
+    observer_for,
+)
 from .simulator import RowStream, VirtualDevice
 from .workloads import (
     FEATURE_BINDINGS,
@@ -356,17 +366,17 @@ class VirtualAdapter:
     is_virtual = True
 
     def __init__(self, device: VirtualDevice, start_time: float, seed: int):
-        self.samples_done = 0
         self._rows = RowStream(device, start_time, seed)
-        self._values: list[float] | None = None
+        self._started = 0
+        self._values: list[int] | None = None
         self._cursor = len(FEATURE_BINDINGS)
-        self._counts = {CPU_SIM_SOURCE_ID: 0, GPU_SIM_SOURCE_ID: 0}
+        counts = self._counts = [0, 0]  # cpu-sim, gpu-sim
         self.registry = CounterRegistry(include_host_timer=False)
         self.registry.register(CounterSource(CPU_SIM_SOURCE_ID, Component.CPU, 1e9),
-                               lambda: self._counts[CPU_SIM_SOURCE_ID])
+                               lambda: counts[0])
         self.registry.register(CounterSource(GPU_SIM_SOURCE_ID, Component.GPU,
                                              device.model.gpu_freq_hz),
-                               lambda: self._counts[GPU_SIM_SOURCE_ID])
+                               lambda: counts[1])
 
     @classmethod
     def for_device(cls, device: VirtualDevice, start_time: float,
@@ -380,6 +390,11 @@ class VirtualAdapter:
     def teardown(self) -> None:
         pass
 
+    @property
+    def samples_done(self) -> int:
+        """Samples whose every workload has run."""
+        return self._started - (self._cursor < len(FEATURE_BINDINGS))
+
     def now(self) -> float:
         """Virtual time on the sample schedule ``start + k * sample cost``."""
         return self._rows.start_time + self.samples_done * self._rows.vectors.sample_wallclock_s
@@ -391,10 +406,11 @@ class VirtualAdapter:
         """Begin a sample: take the next simulated row."""
         if self._cursor < len(FEATURE_BINDINGS):
             raise RuntimeError("previous sample still in progress")
-        row = self._rows.take(1)[0].tolist()
-        self._values = row[schema.FEATURE_OFFSET:]
+        row = self._rows.take(1)[0]
+        self._values = row[schema.FEATURE_OFFSET:].astype(np.int64).tolist()
+        self._started += 1
         self._cursor = 0
-        return row[schema.TEMPERATURE_INDEX]
+        return float(row[schema.TEMPERATURE_INDEX])
 
     def backend_names(self) -> dict[str, str]:
         return {"gpu": "simulator", "hash": "simulator"}
@@ -402,54 +418,72 @@ class VirtualAdapter:
     def executable(self, binding: FeatureBinding):
         """(prepare, workload) pair for the collector's measurement bracket."""
         index = schema.FEATURE_COLUMNS.index(binding.column)
-        observer = GPU_SIM_SOURCE_ID if binding.target_component is Component.CPU else CPU_SIM_SOURCE_ID
+        observer = 1 if binding.target_component is Component.CPU else 0
+        counts = self._counts
 
         def workload():
-            if self._values is None:
-                raise RuntimeError("read_temperature must start the sample")
             if self._cursor != index:
-                raise RuntimeError(
-                    f"workload order mismatch: expected "
-                    f"{FEATURE_BINDINGS[self._cursor].column}, got {binding.column}"
-                )
-            self._counts[observer] += int(self._values[index])
-            self._cursor += 1
-            if self._cursor == len(FEATURE_BINDINGS):
-                self.samples_done += 1
+                self._out_of_order(binding)
+            counts[observer] += self._values[index]
+            self._cursor = index + 1
 
         return None, workload
 
+    def _out_of_order(self, binding: FeatureBinding) -> None:
+        if self._cursor == len(FEATURE_BINDINGS):
+            raise RuntimeError("read_temperature must start the sample")
+        raise RuntimeError(
+            f"workload order mismatch: expected "
+            f"{FEATURE_BINDINGS[self._cursor].column}, got {binding.column}"
+        )
+
 
 def bracket_plan(adapter) -> list[tuple]:
-    """Each binding's ``(prepare, workload, observer id)``, in schema order.
+    """Each binding's ``(prepare, workload, read, period, observer id)``, in
+    schema order: ``read`` is the observer counter's reader and ``period``
+    its wrap period, ``1 << width_bits``.
 
     Resolved once per session, after ``adapter.setup()``; every sample of
-    the session measures through it.
+    the session brackets through it. An observer that belongs to the
+    observed component raises :class:`MeasurementInvalid` here, before any
+    workload runs.
     """
     registry = adapter.registry
-    return [
-        (*adapter.executable(binding), observer_for(registry, binding.target_component).id)
-        for binding in FEATURE_BINDINGS
-    ]
+    plan = []
+    for binding in FEATURE_BINDINGS:
+        observer = observer_for(registry, binding.target_component)
+        if observer.component is binding.target_component:
+            raise MeasurementInvalid(
+                f"observer {observer.id} belongs to the observed component "
+                f"{binding.target_component.value}; cross-component measurement required"
+            )
+        plan.append((*adapter.executable(binding), registry.reader(observer.id),
+                     1 << observer.width_bits, observer.id))
+    return plan
 
 
 def collect_sample(config: SessionConfig, adapter, plan: list[tuple]) -> schema.SampleVector:
     """Assemble one complete row: timestamp, temperature, then every feature
-    in schema order, each measured through its cross-component bracket of
+    in schema order, each the observer delta across its workload in
     ``plan`` (see :func:`bracket_plan`).
 
-    Any workload or measurement failure propagates and the partial sample is
+    The bracket holds exactly the workload between the two reads; ``prepare``
+    runs before the first read, and the delta check after the second. Any
+    workload or measurement failure propagates and the partial sample is
     discarded by the caller; no row is ever half-written.
     """
     values = np.empty(schema.DEFAULT_SCHEMA.n_numeric)
     values[schema.TIMESTAMP_INDEX] = adapter.now()
     values[schema.TEMPERATURE_INDEX] = adapter.read_temperature()
-    measure = adapter.registry.measure
-    for i, (binding, (prepare, workload, observer_id)) in enumerate(zip(FEATURE_BINDINGS, plan)):
+    deltas = []
+    for prepare, workload, read, period, observer_id in plan:
         if prepare is not None:
             prepare()
-        measurement = measure(observer_id, binding.target_component, binding.column, workload)
-        values[schema.FEATURE_OFFSET + i] = float(measurement.delta)
+        before = read()
+        workload()
+        after = read()
+        deltas.append(counter_delta(observer_id, period, before, after))
+    values[schema.FEATURE_OFFSET:] = deltas
     sample = schema.SampleVector(values, config.device_mac)
     sample.validate()
     return sample
@@ -469,6 +503,9 @@ def _ensure_mac_model_entry(directory: Path, mac: str, model: str) -> None:
                 return
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(f"{mac},{model}\n")
+        # Durable before the first row: read_dataset skips unlisted CSVs.
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def _repair_torn_tail(path: Path, log: SessionLog) -> None:
@@ -558,7 +595,7 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
             adapter.setup()
             plan = bracket_plan(adapter)
             log.add("backends", **adapter.backend_names())
-            for observer_id in sorted({observer for _, _, observer in plan}):
+            for observer_id in sorted({entry[-1] for entry in plan}):
                 log.add("bracket_overhead", **adapter.registry.measure_overhead(observer_id))
 
             _repair_torn_tail(config.working_dir / schema.MAC_MODEL_FILENAME, log)

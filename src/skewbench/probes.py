@@ -1,11 +1,15 @@
-"""Counter sources and cross-component measurement brackets.
+"""Counter sources and the cross-component delta check.
 
 A measurement brackets exactly one workload between two reads of an
 observer counter owned by a different component than the one doing the
 work, so the observed component's own clock error cannot hide in its own
-measurement. The default reference is a monotonic nanosecond timer; platform
-backends (GPU cycle registers, CPU cycle counters) plug in through
-:meth:`CounterRegistry.register` without any caller changes.
+measurement. The bracket itself is ``collector.collect_sample``; its checks
+live in ``collector.bracket_plan`` (the observer must belong to another
+component, checked once per session) and in :func:`counter_delta` (the
+modular delta of one read-pair). The default reference is a monotonic
+nanosecond timer; platform backends (GPU cycle registers, CPU cycle
+counters) plug in through :meth:`CounterRegistry.register` without any
+caller changes.
 
 Backend notes for implementers of real GPU registers: deltas are computed
 in unsigned modular arithmetic assuming at most one wrap, so counters
@@ -48,29 +52,12 @@ class CounterSource:
     width_bits: int = 64
 
 
-@dataclass(frozen=True)
-class CounterReading:
-    source_id: str
-    value: int
-
-
-@dataclass(frozen=True)
-class CrossMeasurement:
-    """Observer-counter delta across one workload execution."""
-
-    observer: str
-    observed_component: Component
-    workload_id: str
-    delta: int
-    duration_tag: str = ""
-
-
 TIMER_SOURCE_ID = "timer"
 TIMER_SOURCE = CounterSource(TIMER_SOURCE_ID, Component.TIMER, 1e9, monotonic=True)
 
 
 class CounterRegistry:
-    """Named counter backends plus measurement brackets.
+    """Named counter backends and their readers.
 
     A registry is bound to the thread that uses it; brackets are strictly
     single-threaded. ``include_host_timer`` registers the monotonic
@@ -89,9 +76,6 @@ class CounterRegistry:
         self._sources[source.id] = source
         self._readers[source.id] = read_fn
 
-    def sources(self) -> list[CounterSource]:
-        return list(self._sources.values())
-
     def source(self, source_id: str) -> CounterSource:
         try:
             return self._sources[source_id]
@@ -104,66 +88,25 @@ class CounterRegistry:
                 return source
         return None
 
-    def read(self, source_id: str) -> CounterReading:
-        source = self.source(source_id)
-        try:
-            value = self._readers[source_id]()
-        except SourceUnavailable:
-            raise
-        except Exception as exc:
-            raise SourceUnavailable(f"backend for {source_id} failed: {exc}") from exc
-        return CounterReading(source.id, int(value))
-
-    def _delta(self, source: CounterSource, before: int, after: int) -> int:
-        period = 1 << source.width_bits
-        delta = (after - before) % period
-        if delta > period // 2:
-            raise MeasurementInvalid(
-                f"{source.id}: delta {after - before} exceeds half the counter "
-                f"period; wrapped more than once or ran backwards"
-            )
-        return delta
-
-    def measure(
-        self,
-        observer_id: str,
-        observed_component: Component,
-        workload_id: str,
-        workload: Callable[[], object],
-        duration_tag: str = "",
-    ) -> CrossMeasurement:
-        """Run ``workload`` inside a read-pair of the observer counter.
-
-        The bracket contains exactly the workload call: the reader callables
-        are resolved and the cross-component check done before the first
-        read. A failing workload propagates and no measurement is produced.
-        """
-        source = self.source(observer_id)
-        if source.component is observed_component:
-            raise MeasurementInvalid(
-                f"observer {observer_id} belongs to the observed component "
-                f"{observed_component.value}; cross-component measurement required"
-            )
-        read_fn = self._readers[observer_id]
-        before = read_fn()
-        workload()
-        after = read_fn()
-        delta = self._delta(source, int(before), int(after))
-        return CrossMeasurement(observer_id, observed_component, workload_id, delta, duration_tag)
+    def reader(self, source_id: str) -> Callable[[], int]:
+        """The read callable of a registered source."""
+        self.source(source_id)
+        return self._readers[source_id]
 
     def measure_overhead(self, observer_id: str, repetitions: int = 1000) -> dict[str, float]:
         """Empty-bracket deltas: the cost of the read-pair itself.
 
-        Measured once per session and stored alongside the data for later
-        noise accounting.
+        Measured once per session, before the first sample, and stored
+        alongside the data for later noise accounting. A backend that fails
+        here raises :class:`SourceUnavailable`.
         """
-        source = self.source(observer_id)
+        period = 1 << self.source(observer_id).width_bits
         read_fn = self._readers[observer_id]
-        deltas = []
-        for _ in range(repetitions):
-            before = read_fn()
-            after = read_fn()
-            deltas.append(self._delta(source, int(before), int(after)))
+        try:
+            pairs = [(read_fn(), read_fn()) for _ in range(repetitions)]
+        except Exception as exc:
+            raise SourceUnavailable(f"backend for {observer_id} failed: {exc}") from exc
+        deltas = [counter_delta(observer_id, period, before, after) for before, after in pairs]
         return {
             "observer": observer_id,
             "repetitions": repetitions,
@@ -171,6 +114,22 @@ class CounterRegistry:
             "mean": float(statistics.fmean(deltas)),
             "max": float(max(deltas)),
         }
+
+
+def counter_delta(source_id: str, period: int, before: int, after: int) -> int:
+    """Counts from ``before`` to ``after`` on a counter that wraps at ``period``.
+
+    At most one wrap is assumed. A delta above half the period cannot be
+    told from a double wrap or a counter running backwards, and raises
+    :class:`MeasurementInvalid`.
+    """
+    delta = (after - before) % period
+    if delta > period // 2:
+        raise MeasurementInvalid(
+            f"{source_id}: delta {after - before} exceeds half the counter "
+            f"period; wrapped more than once or ran backwards"
+        )
+    return delta
 
 
 def host_registry() -> CounterRegistry:

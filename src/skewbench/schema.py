@@ -152,9 +152,6 @@ class SampleVector:
         if not np.all(perf > 0):
             raise SchemaViolation("performance values must be strictly positive")
 
-    def value(self, column: str, schema: FeatureSchema = DEFAULT_SCHEMA) -> float:
-        return float(self.values[schema.index(column)])
-
     @property
     def timestamp(self) -> float:
         return float(self.values[TIMESTAMP_INDEX])

@@ -211,17 +211,6 @@ def _expectation_vector(
     return vectors.base * scale * temp_factor
 
 
-def feature_expectation(
-    device: VirtualDevice, column: str, t: float, temperature_c: float | None = None
-) -> float:
-    """Jitter-free closed form for one feature at virtual time ``t``."""
-    vectors = model_vectors(device.model)
-    if temperature_c is None:
-        temperature_c = modeled_temperature(device.model.temp_profile, t)
-    i = schema.FEATURE_COLUMNS.index(column)
-    return float(_expectation_vector(device, vectors, temperature_c)[i])
-
-
 class RowStream:
     """One device's numeric rows in order: timestamp, temperature, then the
     215 rounded feature values.
@@ -281,10 +270,6 @@ def simulate_dataset(
         d.mac: simulate_device_rows(d, samples_per_device, start_time) for d in farm
     }
     return schema.Dataset(devices, samples)
-
-
-def simulate_farm_dataset(config: FarmConfig) -> schema.Dataset:
-    return simulate_dataset(make_farm(config), config.samples_per_device, config.start_time)
 
 
 # ---------------------------------------------------------------------------
@@ -417,28 +402,6 @@ def with_heterogeneous_scales(config: FarmConfig, noisy_jitter: float = 0.03) ->
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-def model_spec_to_json(spec: DeviceModelSpec) -> dict:
-    return {
-        "model_name": spec.model_name,
-        "cpu_freq_hz": spec.cpu_freq_hz,
-        "gpu_freq_hz": spec.gpu_freq_hz,
-        "op_duration_ns": dict(spec.op_duration_ns),
-        "skew_sigma_ppm": spec.skew_sigma_ppm,
-        "offset_sigma_ppm": spec.offset_sigma_ppm,
-        "jitter_sigma": spec.jitter_sigma,
-        "jitter_overrides": dict(spec.jitter_overrides),
-        "temp_coeff_sleep": spec.temp_coeff_sleep,
-        "temp_coeff_other": spec.temp_coeff_other,
-        "temp_coeff_overrides": dict(spec.temp_coeff_overrides),
-        "temp_profile": {
-            "mean_c": spec.temp_profile.mean_c,
-            "daily_amplitude_c": spec.temp_profile.daily_amplitude_c,
-            "noise_sigma_c": spec.temp_profile.noise_sigma_c,
-        },
-        "write_center_split": spec.write_center_split,
-    }
-
-
 def _check_keys(obj: Mapping, known: Iterable[str], what: str) -> None:
     """Refuse unknown keys: a misspelt key must not leave its field at the default."""
     unknown = sorted(set(obj) - set(known))
@@ -469,18 +432,6 @@ def model_spec_from_json(obj: Mapping) -> DeviceModelSpec:
         ),
         write_center_split=float(obj.get("write_center_split", 0.0)),
     )
-
-
-def farm_config_to_json(config: FarmConfig) -> dict:
-    return {
-        "master_seed": config.master_seed,
-        "samples_per_device": config.samples_per_device,
-        "start_time": config.start_time,
-        "models": [
-            {"count": count, "spec": model_spec_to_json(spec)}
-            for spec, count in config.models
-        ],
-    }
 
 
 def farm_config_from_json(obj: Mapping) -> FarmConfig:

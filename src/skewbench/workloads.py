@@ -221,9 +221,6 @@ class StorageScratch:
             raise WorkloadError(f"short write at repetition {rep_index}")
         os.fsync(self._fd)
 
-    def read_back(self, rep_index: int) -> bytes:
-        return os.pread(self._fd, self.block_bytes, self._offset(rep_index))
-
     def close(self) -> None:
         if self._fd is not None:
             os.close(self._fd)

@@ -19,7 +19,6 @@ from skewbench.analysis import (
     density_summary,
     evaluate,
     identification_matrix,
-    kfold_macro_f1,
     kmeans,
     minmax_apply,
     minmax_fit_transform,
@@ -559,6 +558,23 @@ class TestTreeMatchesReference:
         for tree, reference_tree in zip(forest._trees, reference._trees, strict=True):
             assert_same_tree(tree, reference_tree)
         assert np.array_equal(forest.predict(m.values), reference.predict(m.values))
+
+
+def kfold_macro_f1(m: FeatureMatrix, kind: str, folds: int, seed: int) -> list[float]:
+    """Stratified k-fold macro-F1: each class is dealt round-robin over the
+    folds in a seeded order, and each fold is scored by a model trained on
+    the others."""
+    rng = np.random.default_rng(seed)
+    fold_of = np.empty(m.n_rows, dtype=int)
+    for label in np.unique(m.labels):
+        idx = rng.permutation(np.flatnonzero(m.labels == label))
+        fold_of[idx] = np.arange(len(idx)) % folds
+    scores = []
+    for fold in range(folds):
+        test_mask = fold_of == fold
+        model = train_classifier(kind, m.select_rows(~test_mask), seed=seed)
+        scores.append(evaluate(model, m.select_rows(test_mask)).macro_f1)
+    return scores
 
 
 class TestEvaluate:

@@ -13,7 +13,6 @@ from skewbench.simulator import (
     default_farm_config,
     default_models,
     farm_config_from_json,
-    farm_config_to_json,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -22,13 +21,17 @@ CONFIGS = REPO_ROOT / "configs"
 
 @pytest.fixture(scope="module")
 def tiny_farm_config(tmp_path_factory) -> Path:
-    config = FarmConfig(
+    obj = json.loads((CONFIGS / "default_farm.json").read_text())
+    obj["models"] = [dict(entry, count=2) for entry in obj["models"]
+                     if entry["spec"]["model_name"] in ("RPi4like", "RPi3like")]
+    obj.update(master_seed=5, samples_per_device=6)
+    assert farm_config_from_json(obj) == FarmConfig(
         models=((default_models()["RPi4like"], 2), (default_models()["RPi3like"], 2)),
         master_seed=5,
         samples_per_device=6,
     )
     path = tmp_path_factory.mktemp("config") / "farm.json"
-    path.write_text(json.dumps(farm_config_to_json(config)))
+    path.write_text(json.dumps(obj))
     return path
 
 

@@ -4,16 +4,18 @@ import gc
 import hashlib
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skewbench import collector, schema, simulator
+from skewbench import collector, schema, simulator, workloads
 from skewbench.collector import (
     CheckStatus,
     DegradedEnvironment,
@@ -28,7 +30,7 @@ from skewbench.collector import (
     run_session,
     simulated_stability_report,
 )
-from skewbench.probes import CounterRegistry
+from skewbench.probes import Component, CounterRegistry, CounterSource, MeasurementInvalid
 from skewbench.simulator import (
     default_models,
     make_device,
@@ -37,10 +39,17 @@ from skewbench.simulator import (
 )
 
 MAC = "02:53:42:00:00:07"
+N_FEATURES = len(schema.FEATURE_COLUMNS)
 
 
 def sim_device(seed: int = 7, model: str = "RPi4like"):
     return make_device(default_models()[model], MAC, seed)
+
+
+def wrap_workloads(plan, wrapper):
+    """``plan`` with entry i's workload replaced by ``wrapper(i, workload)``."""
+    return [(prepare, wrapper(i, workload), *rest)
+            for i, (prepare, workload, *rest) in enumerate(plan)]
 
 
 def sim_config(tmp_path, samples: int = 3, **overrides) -> SessionConfig:
@@ -198,44 +207,97 @@ class TestCollectSample:
         second = collect_sample(config, adapter, plan)
         assert second.timestamp >= first.timestamp
 
-    def test_exactly_one_workload_invocation_per_bracket(self, tmp_path, monkeypatch):
-        counts = []
-        original = CounterRegistry.measure
+    def test_exactly_one_workload_invocation_per_bracket(self, tmp_path):
+        counts = [0] * N_FEATURES
 
-        def spy(self, observer_id, observed_component, workload_id, workload, duration_tag=""):
-            calls = [0]
-
-            def counted():
-                calls[0] += 1
+        def counted(i, workload):
+            def run():
+                counts[i] += 1
                 return workload()
+            return run
 
-            result = original(self, observer_id, observed_component, workload_id, counted, duration_tag)
-            counts.append(calls[0])
-            return result
-
-        monkeypatch.setattr(CounterRegistry, "measure", spy)
         adapter = VirtualAdapter.for_device(sim_device(), start_time=0.0)
-        collect_sample(sim_config(tmp_path), adapter, bracket_plan(adapter))
-        assert len(counts) == 215
-        assert all(c == 1 for c in counts)
+        collect_sample(sim_config(tmp_path), adapter, wrap_workloads(bracket_plan(adapter), counted))
+        assert counts == [1] * N_FEATURES
 
     def test_cpu_features_observed_by_gpu_counter(self, tmp_path):
         device = sim_device()
         adapter = VirtualAdapter.for_device(device, start_time=0.0)
+        plan = bracket_plan(adapter)
         seen = []
-        original = adapter.registry.measure
 
-        def spy(observer_id, observed_component, workload_id, workload, duration_tag=""):
-            seen.append((observer_id, workload_id))
-            return original(observer_id, observed_component, workload_id, workload, duration_tag)
+        def spy(i, workload):
+            def run():
+                seen.append((schema.FEATURE_COLUMNS[i], plan[i][-1]))
+                return workload()
+            return run
 
-        adapter.registry.measure = spy
-        collect_sample(sim_config(tmp_path), adapter, bracket_plan(adapter))
-        observers = dict(((w, o) for o, w in seen))
+        for _, _, read, _, observer_id in plan:
+            assert read is adapter.registry.reader(observer_id)
+        collect_sample(sim_config(tmp_path), adapter, wrap_workloads(plan, spy))
+        observers = dict(seen)
+        assert len(observers) == N_FEATURES
         assert observers["cpu_sleep_1s"] == "gpu-sim"
         assert observers["cpu_fib"] == "gpu-sim"
         assert observers["gpu_matrixmul"] == "cpu-sim"
         assert observers["storage_write_100"] == "cpu-sim"
+
+
+    def test_host_bracket_holds_only_the_workload(self, tmp_path, monkeypatch):
+        # A counting reader and logging workloads (which stand in for the real
+        # ones) show what runs between the two reads of each bracket.
+        monkeypatch.setattr(workloads, "URANDOM_BYTES", 64 * 1024)
+        events = []
+
+        def counting_read():
+            events.append("read")
+            return len(events)
+
+        def logged_prepare(prepare):
+            def run():
+                events.append("prepare")
+                prepare()
+            return run
+
+        registry = CounterRegistry(include_host_timer=False)
+        registry.register(CounterSource("timer", Component.TIMER, 1e9), counting_read)
+        config = sim_config(tmp_path)
+        adapter = HostAdapter(config, probe=FakeProbe(tmp_path / "root"), registry=registry)
+        adapter.setup()
+        try:
+            expected = []
+            plan = []
+            for prepare, _, read, period, observer_id in bracket_plan(adapter):
+                if prepare is not None:
+                    expected.append("prepare")
+                    prepare = logged_prepare(prepare)
+                expected += ["read", "workload", "read"]
+                plan.append((prepare, lambda: events.append("workload"), read, period, observer_id))
+            sample = collect_sample(config, adapter, plan)
+        finally:
+            adapter.teardown()
+        assert events == expected
+        assert expected.count("prepare") == 100  # one cache drop per storage read
+        assert np.array_equal(sample.values[schema.FEATURE_OFFSET:], np.full(N_FEATURES, 2.0))
+
+    def test_mac_model_fsynced_before_first_row(self, tmp_path, monkeypatch):
+        order = []
+        fsync, format_rows = os.fsync, schema.format_rows
+
+        def logged_fsync(fd):
+            order.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def logged_format_rows(*args, **kwargs):
+            order.append(("row", None))
+            return format_rows(*args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(schema, "format_rows", logged_format_rows)
+        run_session(sim_config(tmp_path, samples=2), VirtualAdapter.for_device(sim_device(), 0.0))
+        mac_model = ("fsync", (tmp_path / "MAC-Model.txt").stat().st_ino)
+        assert mac_model in order
+        assert order.index(mac_model) < order.index(("row", None))
 
 
 class TestRunSession:
@@ -406,6 +468,44 @@ class TestRunSession:
         result = run_session(sim_config(tmp_path, samples=3), VirtualAdapter.for_device(sim_device(), 0.0))
         assert result.rows_written == 3
         assert calls == {"executable": 215, "observer_for": 215}
+
+    def test_double_wrap_aborts_session(self, tmp_path):
+        device = sim_device(seed=9)
+        cost = model_vectors(device.model).sample_wallclock_s
+        run_session(sim_config(tmp_path, samples=2), VirtualAdapter.for_device(device, 0.0))
+        kept = (tmp_path / f"{MAC}.csv").read_bytes()
+        # A 28-bit gpu-sim wraps at 2.7e8 counts; cpu_sleep_1s, ~5.0e8 of
+        # them, wraps it twice and leaves a residue above half the period.
+        adapter = VirtualAdapter.for_device(device, 2 * cost)
+        narrow = CounterRegistry(include_host_timer=False)
+        for source_id in ("cpu-sim", "gpu-sim"):
+            source = adapter.registry.source(source_id)
+            width = 28 if source_id == "gpu-sim" else source.width_bits
+            narrow.register(replace(source, width_bits=width), adapter.registry.reader(source_id))
+        adapter.registry = narrow
+        result = run_session(sim_config(tmp_path, samples=2), adapter)
+        assert result.aborted and result.rows_written == 0
+        assert re.fullmatch(r"sample 0: gpu-sim: delta \d{9} exceeds half the counter period; "
+                            r"wrapped more than once or ran backwards", result.abort_reason)
+        assert (tmp_path / f"{MAC}.csv").read_bytes() == kept
+        failed, end = result.log.events[-2:]
+        assert failed == {"event": "sample", "index": 0, "ok": False,
+                          "error": result.abort_reason.removeprefix("sample 0: ")}
+        assert end["event"] == "session_end" and end["aborted"] and end["rows_written"] == 0
+
+    def test_same_component_observer_refused_before_any_workload(self, tmp_path, monkeypatch):
+        adapter = VirtualAdapter.for_device(sim_device(), 0.0)
+        monkeypatch.setattr(collector, "observer_for",
+                            lambda registry, target: registry.source("gpu-sim"))
+        with pytest.raises(MeasurementInvalid, match=(
+                "observer gpu-sim belongs to the observed component gpu; "
+                "cross-component measurement required")):
+            run_session(sim_config(tmp_path, samples=1), adapter)
+        assert [adapter.registry.reader(s)() for s in ("cpu-sim", "gpu-sim")] == [0, 0]
+        assert not (tmp_path / f"{MAC}.csv").exists()
+        log_path = tmp_path / f"{MAC.replace(':', '-')}.session.jsonl"
+        events = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [e["event"] for e in events] == ["session_start", "preflight", "session_end"]
 
     def test_session_replays_row_stream_across_block_boundary(self, tmp_path):
         device = sim_device(seed=3)

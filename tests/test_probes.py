@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+from skewbench import collector
+from skewbench.collector import SessionConfig, bracket_plan, collect_sample
 from skewbench.probes import (
     Component,
     CounterRegistry,
@@ -12,6 +14,10 @@ from skewbench.probes import (
     host_registry,
     observer_for,
 )
+from skewbench.schema import FEATURE_COLUMNS, FEATURE_OFFSET
+from skewbench.workloads import FEATURE_BINDINGS
+
+CONFIG = SessionConfig("02:00:00:00:00:01", "Stub", ".")
 
 
 class FakeCounter:
@@ -33,16 +39,59 @@ def fake_gpu_source(width_bits: int = 64) -> CounterSource:
     return CounterSource("gpu-fake", Component.GPU, 5e8, width_bits=width_bits)
 
 
+def fake_registry(gpu_read, cpu_read, gpu_width_bits: int = 64) -> CounterRegistry:
+    """``gpu-fake`` observes CPU work, ``cpu-fake`` everything else."""
+    reg = CounterRegistry(include_host_timer=False)
+    reg.register(fake_gpu_source(gpu_width_bits), gpu_read)
+    reg.register(CounterSource("cpu-fake", Component.CPU, 1e9), cpu_read)
+    return reg
+
+
+class BracketStub:
+    """The adapter surface that bracket_plan and collect_sample use: a
+    registry, and one workload per binding that runs ``work(binding)``."""
+
+    def __init__(self, registry: CounterRegistry, work):
+        self.registry = registry
+        self.work = work
+
+    def now(self) -> float:
+        return 0.0
+
+    def read_temperature(self) -> float:
+        return 50.0
+
+    def executable(self, binding):
+        return None, lambda: self.work(binding)
+
+
+def advancing(gpu: FakeCounter, cpu: FakeCounter, amount: int):
+    """Work that advances the observer of each binding by ``amount``."""
+
+    def work(binding):
+        (gpu if binding.target_component is Component.CPU else cpu).advance(amount)
+
+    return work
+
+
+def sample_deltas(adapter) -> dict[str, float]:
+    sample = collect_sample(CONFIG, adapter, bracket_plan(adapter))
+    return dict(zip(FEATURE_COLUMNS, sample.values[FEATURE_OFFSET:].tolist()))
+
+
 class TestSources:
     def test_host_registry_has_timer(self):
-        ids = [s.id for s in host_registry().sources()]
-        assert TIMER_SOURCE_ID in ids
+        plan = bracket_plan(BracketStub(host_registry(), lambda binding: None))
+        assert {entry[-1] for entry in plan} == {TIMER_SOURCE_ID}
 
     def test_registration_contract(self):
         reg = host_registry()
         reg.register(fake_gpu_source(), FakeCounter().read)
-        ids = [s.id for s in reg.sources()]
-        assert ids == [TIMER_SOURCE_ID, "gpu-fake"]
+        plan = bracket_plan(BracketStub(reg, lambda binding: None))
+        assert [entry[-1] for entry in plan] == [
+            "gpu-fake" if b.target_component is Component.CPU else TIMER_SOURCE_ID
+            for b in FEATURE_BINDINGS
+        ]
 
     def test_duplicate_id_rejected(self):
         reg = host_registry()
@@ -52,139 +101,148 @@ class TestSources:
 
     def test_unregistered_source_unavailable(self):
         with pytest.raises(SourceUnavailable):
-            host_registry().read("gpu-fake")
+            host_registry().reader("gpu-fake")
 
     def test_timer_monotonic(self):
-        reg = host_registry()
-        r1 = reg.read(TIMER_SOURCE_ID)
-        r2 = reg.read(TIMER_SOURCE_ID)
-        assert r2.value >= r1.value
+        read = host_registry().reader(TIMER_SOURCE_ID)
+        r1 = read()
+        r2 = read()
+        assert r2 >= r1
 
     def test_backend_failure_maps_to_unavailable(self):
+        # The session measures each observer's overhead before its first sample.
         reg = host_registry()
 
         def broken() -> int:
             raise PermissionError("register gone")
 
         reg.register(fake_gpu_source(), broken)
-        with pytest.raises(SourceUnavailable):
-            reg.read("gpu-fake")
+        with pytest.raises(SourceUnavailable, match="register gone"):
+            reg.measure_overhead("gpu-fake")
 
     def test_fake_counter_rate(self):
         # 500 MHz counter driven by a virtual clock, reads 1 s apart.
         clock = {"t": 0.0}
         reg = CounterRegistry(include_host_timer=True)
         reg.register(fake_gpu_source(), lambda: int(clock["t"] * 5e8))
-        before = reg.read("gpu-fake").value
+        read = reg.reader("gpu-fake")
+        before = read()
         clock["t"] += 1.0
-        after = reg.read("gpu-fake").value
+        after = read()
         assert after - before == pytest.approx(5.0e8, rel=1e-6)
 
 
 class TestMeasure:
-    def test_delta_is_workload_cost(self):
-        counter = FakeCounter()
-        reg = CounterRegistry(include_host_timer=False)
-        reg.register(fake_gpu_source(), counter.read)
-        m = reg.measure("gpu-fake", Component.CPU, "w", lambda: counter.advance(1234))
-        assert m.delta == 1234
-        assert m.observer == "gpu-fake"
-        assert m.observed_component is Component.CPU
+    """The bracket of collect_sample, through the plan of bracket_plan."""
 
-    def test_cross_component_required(self):
-        counter = FakeCounter()
-        reg = CounterRegistry(include_host_timer=False)
-        reg.register(fake_gpu_source(), counter.read)
+    def test_delta_is_workload_cost(self):
+        gpu, cpu = FakeCounter(), FakeCounter()
+        adapter = BracketStub(fake_registry(gpu.read, cpu.read), advancing(gpu, cpu, 1234))
+        assert set(sample_deltas(adapter).values()) == {1234.0}
+        assert [entry[-1] for entry in bracket_plan(adapter)] == [
+            "gpu-fake" if b.target_component is Component.CPU else "cpu-fake"
+            for b in FEATURE_BINDINGS
+        ]
+
+    def test_cross_component_required(self, monkeypatch):
         calls = []
-        with pytest.raises(MeasurementInvalid):
-            reg.measure("gpu-fake", Component.GPU, "w", lambda: calls.append(1))
+        reg = fake_registry(FakeCounter().read, FakeCounter().read)
+        monkeypatch.setattr(collector, "observer_for",
+                            lambda registry, target: registry.source("gpu-fake"))
+        with pytest.raises(MeasurementInvalid, match=(
+                "observer gpu-fake belongs to the observed component gpu; "
+                "cross-component measurement required")):
+            bracket_plan(BracketStub(reg, calls.append))
         assert calls == []  # rejected before execution
 
     def test_bracket_contains_exactly_one_invocation_and_two_reads(self):
-        reads = []
-        invocations = []
+        events = []
 
         class CountingCounter(FakeCounter):
             def read(self) -> int:
-                reads.append(1)
+                events.append("read")
                 return super().read()
 
-        counter = CountingCounter()
-        reg = CounterRegistry(include_host_timer=False)
-        reg.register(fake_gpu_source(), counter.read)
-        reg.measure("gpu-fake", Component.CPU, "w", lambda: invocations.append(1))
-        assert len(invocations) == 1
-        assert len(reads) == 2
+        gpu, cpu = CountingCounter(), CountingCounter()
+        work = advancing(gpu, cpu, 1)
+
+        def logged(binding):
+            events.append("workload")
+            work(binding)
+
+        sample_deltas(BracketStub(fake_registry(gpu.read, cpu.read), logged))
+        assert events == ["read", "workload", "read"] * len(FEATURE_BINDINGS)
 
     def test_workload_failure_propagates(self):
-        counter = FakeCounter()
-        reg = CounterRegistry(include_host_timer=False)
-        reg.register(fake_gpu_source(), counter.read)
-
-        def boom():
+        def boom(binding):
             raise RuntimeError("workload died")
 
+        adapter = BracketStub(fake_registry(FakeCounter().read, FakeCounter().read), boom)
         with pytest.raises(RuntimeError, match="workload died"):
-            reg.measure("gpu-fake", Component.CPU, "w", boom)
+            sample_deltas(adapter)
 
     def test_single_wrap_handled(self):
-        counter = FakeCounter()
-        counter.value = (1 << 16) - 6
-        reg = CounterRegistry(include_host_timer=False)
-        reg.register(fake_gpu_source(width_bits=16), counter.read)
-        m = reg.measure("gpu-fake", Component.CPU, "w", lambda: counter.advance(11))
-        assert m.delta == 11
+        gpu, cpu = FakeCounter(), FakeCounter()
+        gpu.value = (1 << 16) - 6
+        reg = fake_registry(lambda: gpu.read() & 0xFFFF, cpu.read, gpu_width_bits=16)
+        deltas = sample_deltas(BracketStub(reg, advancing(gpu, cpu, 11)))
+        assert gpu.value > 1 << 16  # the first CPU bracket wrapped
+        assert set(deltas.values()) == {11.0}
 
     def test_half_period_rejected(self):
-        counter = FakeCounter()
-        reg = CounterRegistry(include_host_timer=False)
-        reg.register(fake_gpu_source(width_bits=16), counter.read)
-        with pytest.raises(MeasurementInvalid):
-            reg.measure("gpu-fake", Component.CPU, "w", lambda: counter.advance(40000))
+        gpu, cpu = FakeCounter(), FakeCounter()
+        adapter = BracketStub(fake_registry(gpu.read, cpu.read, gpu_width_bits=16),
+                              advancing(gpu, cpu, 40000))
+        with pytest.raises(MeasurementInvalid, match="gpu-fake: delta 40000 exceeds half"):
+            sample_deltas(adapter)
 
     def test_backwards_counter_rejected(self):
-        counter = FakeCounter()
-        counter.value = 1000
-        reg = CounterRegistry(include_host_timer=False)
-        reg.register(fake_gpu_source(), counter.read)
-        with pytest.raises(MeasurementInvalid):
-            reg.measure("gpu-fake", Component.CPU, "w", lambda: counter.advance(-500))
+        gpu, cpu = FakeCounter(), FakeCounter()
+        gpu.value = cpu.value = 1000
+        adapter = BracketStub(fake_registry(gpu.read, cpu.read), advancing(gpu, cpu, -500))
+        with pytest.raises(MeasurementInvalid, match="delta -500 exceeds half"):
+            sample_deltas(adapter)
 
     def test_nested_brackets_outer_geq_inner(self):
-        counter = FakeCounter(step=3)
-        reg = CounterRegistry(include_host_timer=False)
-        reg.register(fake_gpu_source(), counter.read)
-        inner: list[int] = []
+        gpu, cpu = FakeCounter(step=3), FakeCounter(step=3)
+        reg = fake_registry(gpu.read, cpu.read)
+        inner = BracketStub(reg, advancing(gpu, cpu, 50))
+        inner_deltas = []
 
-        def outer_workload():
-            m = reg.measure("gpu-fake", Component.MEMORY, "inner", lambda: counter.advance(50))
-            inner.append(m.delta)
+        def outer_work(binding):
+            if binding.column == "cpu_fib":
+                inner_deltas.append(sample_deltas(inner))
 
-        outer = reg.measure("gpu-fake", Component.CPU, "outer", outer_workload)
-        assert outer.delta >= inner[0]
+        outer = sample_deltas(BracketStub(reg, outer_work))
+        inner_on_gpu = [inner_deltas[0][b.column] for b in FEATURE_BINDINGS
+                        if b.target_component is Component.CPU]
+        assert set(inner_on_gpu) == {53.0}
+        assert outer["cpu_fib"] >= sum(inner_on_gpu)
 
     def test_noop_bounded_by_overhead(self):
         reg = host_registry()
         overhead = reg.measure_overhead(TIMER_SOURCE_ID, repetitions=1000)
-        # min over a few brackets discards scheduler blips hitting the no-op
-        best = min(
-            reg.measure(TIMER_SOURCE_ID, Component.CPU, "noop", lambda: None).delta
-            for _ in range(10)
-        )
+        adapter = BracketStub(reg, lambda binding: None)
+        # min over many brackets discards scheduler blips hitting the no-op
+        best = min(min(sample_deltas(adapter).values()) for _ in range(3))
         assert 0 <= best <= 10 * max(overhead["max"], 1.0)
 
     def test_sleep_against_fake_500mhz(self):
         # Virtual clock standing in for real sleep: 1 s at 500 MHz.
         clock = {"t": 0.0}
-        reg = CounterRegistry(include_host_timer=False)
-        reg.register(fake_gpu_source(), lambda: int(clock["t"] * 5e8))
+        cpu = FakeCounter()
 
-        def sleep_one_second():
-            # scheduler overshoot of +0.05%, inside the +/-0.2% window
-            clock["t"] += 1.0005
+        def work(binding):
+            if binding.column == "cpu_sleep_1s":
+                clock["t"] += 1.0005  # scheduler overshoot of +0.05%, inside +/-0.2%
+            elif binding.target_component is Component.CPU:
+                clock["t"] += 1e-6
+            else:
+                cpu.advance(1)
 
-        m = reg.measure("gpu-fake", Component.CPU, "cpu_sleep_1s", sleep_one_second)
-        assert 4.99e8 <= m.delta <= 5.01e8
+        reg = fake_registry(lambda: int(clock["t"] * 5e8), cpu.read)
+        deltas = sample_deltas(BracketStub(reg, work))
+        assert 4.99e8 <= deltas["cpu_sleep_1s"] <= 5.01e8
 
 
 class TestObserverSelection:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from skewbench import schema, simulator
-from skewbench.collector import VirtualAdapter
+from skewbench.collector import VirtualAdapter, bracket_plan
 from skewbench.simulator import (
     DeviceModelSpec,
     FarmConfig,
@@ -16,8 +16,6 @@ from skewbench.simulator import (
     default_farm_config,
     default_models,
     farm_config_from_json,
-    farm_config_to_json,
-    feature_expectation,
     make_device,
     make_farm,
     model_vectors,
@@ -38,6 +36,52 @@ def sample_values(device, vectors, t, rng):
     eps = rng.standard_normal(len(FEATURE_BINDINGS))
     values = _expectation_vector(device, vectors, temperature) * (1.0 + vectors.jitter * eps)
     return temperature, np.maximum(np.rint(values), 1.0)
+
+
+def feature_expectation(device: VirtualDevice, column: str, t: float,
+                        temperature_c: float | None = None) -> float:
+    """Closed-form oracle: the jitter-free value of one feature at virtual time ``t``."""
+    if temperature_c is None:
+        temperature_c = modeled_temperature(device.model.temp_profile, t)
+    values = _expectation_vector(device, model_vectors(device.model), temperature_c)
+    return float(values[schema.FEATURE_COLUMNS.index(column)])
+
+
+def farm_dataset(config: FarmConfig) -> schema.Dataset:
+    """The fleet of ``config`` with its configured samples per device."""
+    return simulate_dataset(make_farm(config), config.samples_per_device, config.start_time)
+
+
+def model_spec_to_json(spec: DeviceModelSpec) -> dict:
+    """Oracle for model_spec_from_json: every field of ``spec`` as JSON."""
+    return {
+        "model_name": spec.model_name,
+        "cpu_freq_hz": spec.cpu_freq_hz,
+        "gpu_freq_hz": spec.gpu_freq_hz,
+        "op_duration_ns": dict(spec.op_duration_ns),
+        "skew_sigma_ppm": spec.skew_sigma_ppm,
+        "offset_sigma_ppm": spec.offset_sigma_ppm,
+        "jitter_sigma": spec.jitter_sigma,
+        "jitter_overrides": dict(spec.jitter_overrides),
+        "temp_coeff_sleep": spec.temp_coeff_sleep,
+        "temp_coeff_other": spec.temp_coeff_other,
+        "temp_coeff_overrides": dict(spec.temp_coeff_overrides),
+        "temp_profile": dataclasses.asdict(spec.temp_profile),
+        "write_center_split": spec.write_center_split,
+    }
+
+
+def farm_config_to_json(config: FarmConfig) -> dict:
+    """Oracle for farm_config_from_json: every field of ``config`` as JSON."""
+    return {
+        "master_seed": config.master_seed,
+        "samples_per_device": config.samples_per_device,
+        "start_time": config.start_time,
+        "models": [
+            {"count": count, "spec": model_spec_to_json(spec)}
+            for spec, count in config.models
+        ],
+    }
 
 
 def quiet_model(**overrides) -> DeviceModelSpec:
@@ -193,7 +237,7 @@ class TestBatchMatchesPerSample:
 class TestSimulatedData:
     def test_row_counts(self):
         config = FarmConfig(models=((quiet_model(), 3),), master_seed=5, samples_per_device=10)
-        ds = simulator.simulate_farm_dataset(config)
+        ds = farm_dataset(config)
         assert ds.n_samples == 30
         assert len(ds.devices) == 3
 
@@ -208,8 +252,8 @@ class TestSimulatedData:
 
     def test_deterministic_and_byte_identical(self, tmp_path):
         config = FarmConfig(models=((default_models()["RPi4like"], 2),), master_seed=11, samples_per_device=5)
-        a = simulator.simulate_farm_dataset(config)
-        b = simulator.simulate_farm_dataset(config)
+        a = farm_dataset(config)
+        b = farm_dataset(config)
         assert a.equals(b)
         schema.write_dataset(a, tmp_path / "a")
         schema.write_dataset(b, tmp_path / "b")
@@ -218,7 +262,7 @@ class TestSimulatedData:
 
     def test_dataset_is_schema_valid(self):
         config = default_farm_config(samples_per_device=2)
-        ds = simulator.simulate_farm_dataset(config)
+        ds = farm_dataset(config)
         ds.validate()
 
     def test_ground_truth_recoverability(self):
@@ -237,7 +281,7 @@ class TestSimulatedData:
     def test_between_model_separation_on_sleep(self):
         # 400 vs 500 MHz nominal GPU frequency separates the newest model
         # from the rest by far more than the within-model spread.
-        ds = simulator.simulate_farm_dataset(default_farm_config(samples_per_device=10))
+        ds = farm_dataset(default_farm_config(samples_per_device=10))
         col = 2 + schema.FEATURE_COLUMNS.index("cpu_sleep_1s")
         by_model: dict[str, list[np.ndarray]] = {}
         for dev in ds.devices:
@@ -269,20 +313,20 @@ class TestRuntime:
 
     def test_sources(self):
         dev = make_device(default_models()["RPi4like"], "02:53:42:00:00:00", 1)
-        reg = VirtualAdapter.for_device(dev, 0.0).registry
-        assert {s.id for s in reg.sources()} == {"cpu-sim", "gpu-sim"}
+        plan = bracket_plan(VirtualAdapter.for_device(dev, 0.0))
+        assert {entry[-1] for entry in plan} == {"cpu-sim", "gpu-sim"}
 
     def test_counters_monotonic_through_samples(self):
         dev = make_device(default_models()["RPi4like"], "02:53:42:00:00:00", 5)
         adapter = VirtualAdapter.for_device(dev, 0.0)
         reg = adapter.registry
         adapter.read_temperature()
-        last = {source_id: reg.read(source_id).value for source_id in ("cpu-sim", "gpu-sim")}
+        last = {source_id: reg.reader(source_id)() for source_id in ("cpu-sim", "gpu-sim")}
         for binding in FEATURE_BINDINGS:
             _, workload = adapter.executable(binding)
             workload()
             for source_id, value in last.items():
-                now = reg.read(source_id).value
+                now = reg.reader(source_id)()
                 assert now >= value
                 last[source_id] = now
         assert adapter.samples_done == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import time
 
@@ -9,7 +10,7 @@ import pytest
 
 from skewbench import collector, schema, workloads
 from skewbench.collector import HostAdapter, SessionConfig
-from skewbench.probes import Component, CounterRegistry, CounterSource, observer_for
+from skewbench.probes import Component, CounterRegistry, CounterSource
 from skewbench.schema import AGGREGATED_SCHEMA, DEFAULT_SCHEMA
 from skewbench.workloads import (
     FEATURE_BINDINGS,
@@ -60,16 +61,16 @@ def bindings_of(kind_id: str):
 
 
 def measure_storage(adapter, kind_id: str) -> list[float]:
-    """One bracket per repetition of a storage kind, as collect_sample runs them."""
-    deltas = []
-    for binding in bindings_of(kind_id):
-        prepare, workload = adapter.executable(binding)
-        if prepare is not None:
-            prepare()
-        observer = observer_for(adapter.registry, binding.target_component)
-        m = adapter.registry.measure(observer.id, binding.target_component, binding.column, workload)
-        deltas.append(float(m.delta))
-    return deltas
+    """One bracket per repetition of a storage kind, run by collect_sample
+    through the session plan. Every other entry of the plan is swapped for
+    a no-op read by a counter that steps 1 per read."""
+    plan = [
+        entry if binding.workload_id == kind_id
+        else (None, lambda: None, itertools.count().__next__, 1 << 64, entry[-1])
+        for binding, entry in zip(FEATURE_BINDINGS, collector.bracket_plan(adapter))
+    ]
+    values = collector.collect_sample(adapter.config, adapter, plan).values[schema.FEATURE_OFFSET:]
+    return [float(v) for binding, v in zip(FEATURE_BINDINGS, values) if binding.workload_id == kind_id]
 
 
 class TestRegistry:
@@ -228,7 +229,7 @@ class TestStorage:
     def test_write_then_read_back_identical(self, tmp_path):
         with StorageScratch(tmp_path / "scratch.bin", block_bytes=4096, repetitions=4) as scratch:
             scratch.write_op(2)
-            assert scratch.read_back(2) == workloads._deterministic_block(1, 4096)
+        assert (tmp_path / "scratch.bin").read_bytes()[4096:8192] == workloads._deterministic_block(1, 4096)
 
     def test_block_size_is_100kb(self, tmp_path):
         with StorageScratch(tmp_path / "scratch.bin", repetitions=2) as scratch:
@@ -259,7 +260,7 @@ class TestStorage:
                 pass
 
         monkeypatch.setattr(collector, "StorageScratch", FakeScratch)
-        reg = CounterRegistry(include_host_timer=False)
+        reg = CounterRegistry()  # the timer observes the CPU work, which is not run
         reg.register(CounterSource("cpu-v", Component.CPU, 1e9), lambda: int(clock["t"] * 1e9))
         deltas = measure_storage(host_adapter(registry=reg), "storage_read")
         assert len(deltas) == 100
