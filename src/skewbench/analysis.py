@@ -18,7 +18,17 @@ import numpy as np
 from . import schema
 from .classifiers import DecisionTree, KNearestNeighbors, RandomForest
 
-CLASSIFIER_KINDS = ("knn", "decision_tree", "random_forest")
+# Each classifier kind: its class, the hyperparameters it accepts, and
+# whether it takes the seed (the tree models do).
+CLASSIFIERS = {
+    "knn": (KNearestNeighbors, ("k",), False),
+    "decision_tree": (DecisionTree, ("max_depth", "min_samples_leaf"), True),
+    "random_forest": (RandomForest, ("n_estimators", "max_depth", "min_samples_leaf"), True),
+}
+CLASSIFIER_KINDS = tuple(CLASSIFIERS)
+
+# Upper bound on Lloyd iterations per k-means restart.
+LLOYD_MAX_ITER = 100
 
 # Minimum rows for a meaningful correlation estimate.
 MIN_CORRELATION_ROWS = 30
@@ -93,7 +103,7 @@ def build_matrix(
 
 def clustering_matrix(dataset: schema.Dataset) -> FeatureMatrix:
     """Model-clustering preset: model labels, no temperature, raw storage."""
-    return build_matrix(dataset, "model", include_temperature=False, aggregate_storage=False)
+    return build_matrix(dataset, "model")
 
 
 def identification_matrix(dataset: schema.Dataset) -> FeatureMatrix:
@@ -243,7 +253,6 @@ def kmeans(
     points: np.ndarray,
     k: int,
     seed: int = 0,
-    max_iter: int = 100,
     n_init: int = 10,
 ) -> ClusterResult:
     """Lloyd iterations from k-means++ seeding, best of ``n_init`` restarts.
@@ -264,7 +273,7 @@ def kmeans(
     best: tuple[np.ndarray, np.ndarray, list[float]] | None = None
     for _ in range(max(1, n_init)):
         seeds = _kmeans_plusplus(canonical, k, rng)
-        assignments, centroids, trajectory = _lloyd(canonical, seeds.copy(), max_iter)
+        assignments, centroids, trajectory = _lloyd(canonical, seeds.copy(), LLOYD_MAX_ITER)
         if best is None or trajectory[-1] < best[2][-1]:
             best = (assignments, centroids, trajectory)
 
@@ -307,30 +316,20 @@ def split(
     m: FeatureMatrix,
     train_fraction: float = 0.8,
     seed: int = 0,
-    stratify: bool = True,
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Disjoint, exhaustive split preserving per-label proportions."""
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    n = m.n_rows
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
-    if stratify:
-        for label in np.unique(m.labels):
-            idx = np.flatnonzero(m.labels == label)
-            if len(idx) < 2:
-                raise ValueError(f"label {label!r} has fewer than 2 samples")
-            shuffled = rng.permutation(idx)
-            n_train = int(round(train_fraction * len(idx)))
-            n_train = min(max(n_train, 1), len(idx) - 1)
-            train_idx.append(shuffled[:n_train])
-            test_idx.append(shuffled[n_train:])
-    else:
-        if n < 2:
-            raise ValueError("need at least 2 rows to split")
-        shuffled = rng.permutation(n)
-        n_train = min(max(int(round(train_fraction * n)), 1), n - 1)
+    for label in np.unique(m.labels):
+        idx = np.flatnonzero(m.labels == label)
+        if len(idx) < 2:
+            raise ValueError(f"label {label!r} has fewer than 2 samples")
+        shuffled = rng.permutation(idx)
+        n_train = int(round(train_fraction * len(idx)))
+        n_train = min(max(n_train, 1), len(idx) - 1)
         train_idx.append(shuffled[:n_train])
         test_idx.append(shuffled[n_train:])
     train = np.sort(np.concatenate(train_idx))
@@ -350,26 +349,15 @@ def train_classifier(kind: str, train: FeatureMatrix, hyperparams: dict | None =
     hyperparams = dict(hyperparams or {})
     if len(np.unique(train.labels)) < 2:
         raise ValueError("training data must contain at least two classes")
-    if kind == "knn":
-        model = KNearestNeighbors(k=int(hyperparams.pop("k", 7)))
-    elif kind == "decision_tree":
-        model = DecisionTree(
-            max_depth=hyperparams.pop("max_depth", None),
-            min_samples_leaf=int(hyperparams.pop("min_samples_leaf", 1)),
-            seed=seed,
-        )
-    elif kind == "random_forest":
-        model = RandomForest(
-            n_estimators=int(hyperparams.pop("n_estimators", 100)),
-            max_depth=hyperparams.pop("max_depth", None),
-            min_samples_leaf=int(hyperparams.pop("min_samples_leaf", 1)),
-            seed=seed,
-        )
-    else:
+    if kind not in CLASSIFIERS:
         raise ValueError(f"unknown classifier kind {kind!r}; expected one of {CLASSIFIER_KINDS}")
-    if hyperparams:
-        raise ValueError(f"unknown hyperparameters for {kind}: {sorted(hyperparams)}")
-    return model.fit(train.values, train.labels)
+    cls, accepted, seeded = CLASSIFIERS[kind]
+    unknown = sorted(set(hyperparams) - set(accepted))
+    if unknown:
+        raise ValueError(f"unknown hyperparameters for {kind}: {unknown}")
+    if seeded:
+        hyperparams["seed"] = seed
+    return cls(**hyperparams).fit(train.values, train.labels)
 
 
 @dataclass

@@ -5,6 +5,11 @@ Every subcommand reads its inputs without modifying them and writes reports
 under --out; all randomness flows from the config plus the --seed override,
 so equal invocations produce byte-identical outputs.
 
+Configs are JSON objects keyed by the fields of the dataclasses they fill
+(``simulate``: FarmConfig; ``collect``: SessionDevice and SessionConfig). An
+omitted key takes the field's default; an unknown or missing key, or a value
+of the wrong JSON type, exits 1 naming the key. Flags override the config.
+
 Exit codes: 0 success, 1 error or aborted session, 2 completed
 degraded-mode collection.
 """
@@ -27,10 +32,12 @@ from .collector import (
     run_session,
 )
 from .simulator import (
+    DEFAULT_START_TIME,
+    DeviceModelSpec,
     farm_config_from_json,
+    json_kwargs,
     make_device,
     make_farm,
-    model_spec_from_json,
     simulate_dataset,
 )
 
@@ -66,32 +73,36 @@ def _info(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+@dataclasses.dataclass(frozen=True)
+class SessionDevice:
+    """The device keys of a session config; its other keys are the
+    :class:`SessionConfig` fields but ``device_mac`` and ``device_model``."""
+
+    mac: str
+    model: str
+    kind: str = "host"
+    model_spec: DeviceModelSpec | None = None  # required when kind is simulated
+    device_seed: int = 0
+    start_time: float = DEFAULT_START_TIME
+
+
 def cmd_collect(args) -> int:
-    raw = _load_json(args.config)
-    out_dir = Path(args.out) if args.out else Path(raw.get("working_dir", "."))
-    config = SessionConfig(
-        device_mac=raw["mac"],
-        device_model=raw["model"],
-        working_dir=out_dir,
-        samples_per_session=(
-            args.samples if args.samples is not None else int(raw.get("samples_per_session", 800))
-        ),
-        seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
-        pinned_core=raw.get("pinned_core"),
-        require_fixed_frequency=bool(raw.get("require_fixed_frequency", False)),
-        allow_degraded=args.allow_degraded or bool(raw.get("allow_degraded", False)),
-    )
-    kind = raw.get("kind", "host")
-    if kind == "simulated":
-        spec = model_spec_from_json(raw["model_spec"])
-        device = make_device(spec, config.device_mac, int(raw.get("device_seed", 0)))
-        adapter = VirtualAdapter.for_device(
-            device, float(raw.get("start_time", 1_700_000_000.0)), sample_seed=config.seed
-        )
-    elif kind == "host":
+    own, session = json_kwargs(_load_json(args.config), "session config", SessionDevice,
+                               SessionConfig, exclude=("device_mac", "device_model"))
+    device = SessionDevice(**own)
+    flags = {"working_dir": args.out, "samples_per_session": args.samples, "seed": args.seed,
+             "allow_degraded": args.allow_degraded or None}
+    session.update({k: v for k, v in flags.items() if v is not None})
+    config = SessionConfig(device.mac, device.model, **session)
+    if device.kind == "simulated":
+        if device.model_spec is None:
+            raise CommandError("session config: missing keys ['model_spec'] for kind simulated")
+        virtual = make_device(device.model_spec, config.device_mac, device.device_seed)
+        adapter = VirtualAdapter.for_device(virtual, device.start_time, sample_seed=config.seed)
+    elif device.kind == "host":
         adapter = HostAdapter(config)
     else:
-        raise CommandError(f"unknown device kind {kind!r}; expected simulated or host")
+        raise CommandError(f"unknown device kind {device.kind!r}; expected simulated or host")
 
     result = run_session(config, adapter)
     _info(args, f"wrote {result.rows_written} rows to {result.csv_path}")
@@ -102,13 +113,9 @@ def cmd_collect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = farm_config_from_json(_load_json(args.config))
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
-    if args.samples_per_device is not None:
-        if args.samples_per_device < 1:
-            raise CommandError("--samples-per-device must be >= 1")
-        config = dataclasses.replace(config, samples_per_device=args.samples_per_device)
+    flags = {"master_seed": args.seed, "samples_per_device": args.samples_per_device}
+    config = dataclasses.replace(farm_config_from_json(_load_json(args.config)),
+                                 **{k: v for k, v in flags.items() if v is not None})
     farm = make_farm(config)
     dataset = simulate_dataset(farm, config.samples_per_device, config.start_time)
     out_dir = Path(args.out)
@@ -121,7 +128,7 @@ def cmd_cluster(args) -> int:
     dataset = schema.read_dataset(args.dataset_dir)
     matrix = analysis.clustering_matrix(dataset)
     normalized, _ = analysis.minmax_fit_transform(matrix)
-    projected = analysis.pca(normalized, out_dims=2)
+    projected = analysis.pca(normalized)
     result = analysis.kmeans(projected.projection, k=args.k, seed=args.seed)
     purity, per_cluster = analysis.cluster_purity(result.assignments, matrix.labels)
 
@@ -149,11 +156,9 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    if args.algo not in analysis.CLASSIFIER_KINDS:
-        raise CommandError(f"--algo must be one of {analysis.CLASSIFIER_KINDS}")
     dataset = schema.read_dataset(args.dataset_dir)
     matrix = analysis.identification_matrix(dataset)
-    train, test = analysis.split(matrix, train_fraction=0.8, seed=args.seed)
+    train, test = analysis.split(matrix, seed=args.seed)
     normalized = args.algo == "knn"
     if normalized:
         train, params = analysis.minmax_fit_transform(train)

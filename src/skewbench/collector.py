@@ -114,7 +114,7 @@ class StabilityReport:
 class SessionConfig:
     device_mac: str
     device_model: str
-    working_dir: Path
+    working_dir: Path = Path(".")
     samples_per_session: int = 800
     seed: int = 0
     pinned_core: int | None = None
@@ -208,61 +208,37 @@ class PlatformProbe:
         return None
 
 
-def preflight(config: SessionConfig, probe: PlatformProbe | None = None) -> StabilityReport:
+def _status(ok: bool | None) -> CheckStatus:
+    """SATISFIED or UNSATISFIED, or UNKNOWN when the host could not tell."""
+    if ok is None:
+        return CheckStatus.UNKNOWN
+    return CheckStatus.SATISFIED if ok else CheckStatus.UNSATISFIED
+
+
+def preflight(config: SessionConfig, probe: PlatformProbe) -> StabilityReport:
     """Detect the stability measures; unknown is a valid status."""
-    probe = probe or PlatformProbe()
-    checks: dict[str, CheckStatus] = {}
-
     governors = probe.governors()
-    if governors is None:
-        checks["fixed_frequency"] = CheckStatus.UNKNOWN
-    elif all(g == "performance" for g in governors):
-        checks["fixed_frequency"] = CheckStatus.SATISFIED
-    else:
-        checks["fixed_frequency"] = CheckStatus.UNSATISFIED
-
-    policy = probe.sched_policy()
-    if policy in (SCHED_FIFO, SCHED_RR):
-        checks["kernel_priority"] = CheckStatus.SATISFIED
+    frequency = None if governors is None else all(g == "performance" for g in governors)
+    if probe.sched_policy() in (SCHED_FIFO, SCHED_RR):
+        priority = True
     else:
         nice = probe.niceness()
-        if nice is None:
-            checks["kernel_priority"] = CheckStatus.UNKNOWN
-        elif nice <= -10:
-            checks["kernel_priority"] = CheckStatus.SATISFIED
-        else:
-            checks["kernel_priority"] = CheckStatus.UNSATISFIED
-
+        priority = None if nice is None else nice <= -10
     aslr = probe.aslr()
-    if aslr is None:
-        checks["aslr_disabled"] = CheckStatus.UNKNOWN
-    elif aslr == "0":
-        checks["aslr_disabled"] = CheckStatus.SATISFIED
-    else:
-        checks["aslr_disabled"] = CheckStatus.UNSATISFIED
-
     if probe.cpu_count() == 1:
-        checks["core_isolation"] = CheckStatus.NOT_APPLICABLE
+        isolation = CheckStatus.NOT_APPLICABLE
     else:
         isolated = probe.isolated_cpus()
-        if isolated is None:
-            checks["core_isolation"] = CheckStatus.UNKNOWN
-        elif config.pinned_core is not None and config.pinned_core in isolated:
-            checks["core_isolation"] = CheckStatus.SATISFIED
-        else:
-            checks["core_isolation"] = CheckStatus.UNSATISFIED
-
+        isolation = _status(None if isolated is None else config.pinned_core in isolated)
     seed_env = probe.hash_seed_env()
-    if seed_env is not None and seed_env.isdigit():
-        checks["fixed_hash_seed"] = CheckStatus.SATISFIED
-    else:
-        checks["fixed_hash_seed"] = CheckStatus.UNSATISFIED
-
-    checks["gc_disabled"] = (
-        CheckStatus.SATISFIED if not probe.gc_enabled() else CheckStatus.UNSATISFIED
-    )
-
-    return StabilityReport(checks)
+    return StabilityReport({
+        "fixed_frequency": _status(frequency),
+        "kernel_priority": _status(priority),
+        "aslr_disabled": _status(None if aslr is None else aslr == "0"),
+        "core_isolation": isolation,
+        "fixed_hash_seed": _status(seed_env is not None and seed_env.isdigit()),
+        "gc_disabled": _status(not probe.gc_enabled()),
+    })
 
 
 def simulated_stability_report() -> StabilityReport:
@@ -270,8 +246,8 @@ def simulated_stability_report() -> StabilityReport:
     return StabilityReport({name: CheckStatus.NOT_APPLICABLE for name in STABILITY_CHECKS})
 
 
-def read_temperature(probe: PlatformProbe | None = None) -> float:
-    value = (probe or PlatformProbe()).temperature_c()
+def read_temperature(probe: PlatformProbe) -> float:
+    value = probe.temperature_c()
     return schema.TEMPERATURE_UNAVAILABLE_C if value is None else value
 
 
@@ -372,11 +348,8 @@ class VirtualAdapter:
         self._cursor = len(FEATURE_BINDINGS)
         counts = self._counts = [0, 0]  # cpu-sim, gpu-sim
         self.registry = CounterRegistry(include_host_timer=False)
-        self.registry.register(CounterSource(CPU_SIM_SOURCE_ID, Component.CPU, 1e9),
-                               lambda: counts[0])
-        self.registry.register(CounterSource(GPU_SIM_SOURCE_ID, Component.GPU,
-                                             device.model.gpu_freq_hz),
-                               lambda: counts[1])
+        self.registry.register(CounterSource(CPU_SIM_SOURCE_ID, Component.CPU), lambda: counts[0])
+        self.registry.register(CounterSource(GPU_SIM_SOURCE_ID, Component.GPU), lambda: counts[1])
 
     @classmethod
     def for_device(cls, device: VirtualDevice, start_time: float,
@@ -605,6 +578,13 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
             if not new_file:
                 _check_header(csv_path)
             with open(csv_path, "a", encoding="utf-8", newline="") as fh:
+                # The journal, MAC-Model.txt and the CSV may be new: make
+                # their directory entries durable before the first row.
+                dir_fd = os.open(config.working_dir, os.O_RDONLY)
+                try:
+                    os.fsync(dir_fd)
+                finally:
+                    os.close(dir_fd)
                 if new_file:
                     fh.write(",".join(schema.DEFAULT_SCHEMA.columns) + "\n")
                     fh.flush()

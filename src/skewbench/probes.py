@@ -47,13 +47,12 @@ class MeasurementInvalid(RuntimeError):
 class CounterSource:
     id: str
     component: Component
-    nominal_frequency_hz: float | None = None
-    monotonic: bool = True
     width_bits: int = 64
 
 
 TIMER_SOURCE_ID = "timer"
-TIMER_SOURCE = CounterSource(TIMER_SOURCE_ID, Component.TIMER, 1e9, monotonic=True)
+TIMER_SOURCE = CounterSource(TIMER_SOURCE_ID, Component.TIMER)
+OVERHEAD_REPETITIONS = 1000  # empty brackets per measure_overhead call
 
 
 class CounterRegistry:
@@ -93,7 +92,7 @@ class CounterRegistry:
         self.source(source_id)
         return self._readers[source_id]
 
-    def measure_overhead(self, observer_id: str, repetitions: int = 1000) -> dict[str, float]:
+    def measure_overhead(self, observer_id: str) -> dict[str, float]:
         """Empty-bracket deltas: the cost of the read-pair itself.
 
         Measured once per session, before the first sample, and stored
@@ -103,13 +102,13 @@ class CounterRegistry:
         period = 1 << self.source(observer_id).width_bits
         read_fn = self._readers[observer_id]
         try:
-            pairs = [(read_fn(), read_fn()) for _ in range(repetitions)]
+            pairs = [(read_fn(), read_fn()) for _ in range(OVERHEAD_REPETITIONS)]
         except Exception as exc:
             raise SourceUnavailable(f"backend for {observer_id} failed: {exc}") from exc
         deltas = [counter_delta(observer_id, period, before, after) for before, after in pairs]
         return {
             "observer": observer_id,
-            "repetitions": repetitions,
+            "repetitions": OVERHEAD_REPETITIONS,
             "min": float(min(deltas)),
             "mean": float(statistics.fmean(deltas)),
             "max": float(max(deltas)),
@@ -135,7 +134,7 @@ def counter_delta(source_id: str, period: int, before: int, after: int) -> int:
 def host_registry() -> CounterRegistry:
     """Registry for the current host: the monotonic timer plus any platform
     backends the caller registers afterwards."""
-    return CounterRegistry(include_host_timer=True)
+    return CounterRegistry()
 
 
 def observer_for(registry: CounterRegistry, target: Component) -> CounterSource:

@@ -27,11 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .probes import Component
-from .workloads import FEATURE_BINDINGS, KIND_BY_ID, KINDS
+from .workloads import FEATURE_BINDINGS, KINDS
 
 CONTEXT_COLUMNS = ("timestamp", "temperature")
 FEATURE_COLUMNS = tuple(b.column for b in FEATURE_BINDINGS)
-SLEEP_COLUMNS = tuple(b.column for b in FEATURE_BINDINGS if KIND_BY_ID[b.workload_id].sleep)
 STORAGE_AGGREGATE_STATS = ("avg", "median", "min", "max")
 LABEL_COLUMN = "mac"
 
@@ -139,10 +138,10 @@ class SampleVector:
     values: np.ndarray
     label: str
 
-    def validate(self, schema: FeatureSchema = DEFAULT_SCHEMA) -> None:
-        if self.values.shape != (schema.n_numeric,):
+    def validate(self) -> None:
+        if self.values.shape != (DEFAULT_SCHEMA.n_numeric,):
             raise SchemaViolation(
-                f"expected {schema.n_numeric} numeric values, got {self.values.shape}"
+                f"expected {DEFAULT_SCHEMA.n_numeric} numeric values, got {self.values.shape}"
             )
         if not is_valid_mac(self.label):
             raise SchemaViolation(f"label is not a MAC address: {self.label!r}")
@@ -155,10 +154,6 @@ class SampleVector:
     @property
     def timestamp(self) -> float:
         return float(self.values[TIMESTAMP_INDEX])
-
-    @property
-    def temperature(self) -> float:
-        return float(self.values[TEMPERATURE_INDEX])
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,19 @@ sinusoid plus Gaussian noise and is deterministic in (seed, t).
 their rows from it through :func:`simulate_device_rows`, and the
 collector's virtual backend takes one row per sample from it, so a virtual
 session writes exactly the simulator's rows.
+
+The JSON config loaders share :func:`json_kwargs`, which takes each key, its
+type and its default from the dataclass fields, so each is declared once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from .probes import Component
 from .workloads import FEATURE_BINDINGS, KIND_BY_ID, KINDS
 
 PPM = 1e-6
+DEFAULT_START_TIME = 1_700_000_000.0
 SECONDS_PER_DAY = 86400.0
 
 # Every kind but the sleeps needs a nominal duration in op_duration_ns.
@@ -152,7 +159,7 @@ class FarmConfig:
     models: tuple[tuple[DeviceModelSpec, int], ...]
     master_seed: int = 1
     samples_per_device: int = 100
-    start_time: float = 1_700_000_000.0
+    start_time: float = DEFAULT_START_TIME
 
     def __post_init__(self):
         if any(count < 1 for _, count in self.models):
@@ -260,11 +267,8 @@ def simulate_device_rows(
     return RowStream(device, start_time, device.rng_seed).take(n_samples)
 
 
-def simulate_dataset(
-    farm: list[VirtualDevice],
-    samples_per_device: int,
-    start_time: float = 1_700_000_000.0,
-) -> schema.Dataset:
+def simulate_dataset(farm: list[VirtualDevice], samples_per_device: int,
+                     start_time: float) -> schema.Dataset:
     devices = [schema.DeviceRecord(d.mac, d.model.model_name) for d in farm]
     samples = {
         d.mac: simulate_device_rows(d, samples_per_device, start_time) for d in farm
@@ -369,81 +373,82 @@ def default_models() -> dict[str, DeviceModelSpec]:
 DEFAULT_FLEET_COUNTS = (("RPi4like", 15), ("RPi3like", 10), ("RPi1like", 10), ("RPiZerolike", 10))
 
 
-def default_farm_config(
-    master_seed: int = 1,
-    samples_per_device: int = 100,
-    start_time: float = 1_700_000_000.0,
-) -> FarmConfig:
+def default_farm_config(**kwargs) -> FarmConfig:
+    """The default fleet; keyword arguments go to :class:`FarmConfig`."""
     models = default_models()
     return FarmConfig(
-        models=tuple((models[name], count) for name, count in DEFAULT_FLEET_COUNTS),
-        master_seed=master_seed,
-        samples_per_device=samples_per_device,
-        start_time=start_time,
+        models=tuple((models[name], count) for name, count in DEFAULT_FLEET_COUNTS), **kwargs
     )
-
-
-def with_heterogeneous_scales(config: FarmConfig, noisy_jitter: float = 0.03) -> FarmConfig:
-    """Raise the jitter of every GPU, memory and storage workload kind.
-
-    Produces a farm where feature scales are wildly heterogeneous: CPU
-    features stay clean while GPU, memory, and storage features drown in
-    noise, which unweighted distance metrics cannot shrug off.
-    """
-    noisy = {k.id: noisy_jitter for k in KINDS if k.component is not Component.CPU}
-    models = tuple(
-        (replace(spec, jitter_overrides={**spec.jitter_overrides, **noisy}), count)
-        for spec, count in config.models
-    )
-    return replace(config, models=models)
 
 
 # ---------------------------------------------------------------------------
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: Mapping, known: Iterable[str], what: str) -> None:
-    """Refuse unknown keys: a misspelt key must not leave its field at the default."""
-    unknown = sorted(set(obj) - set(known))
+def json_kwargs(obj: object, what: str, *classes: type, exclude: Iterable[str] = (),
+                json_hints: Mapping[str, object] = {}) -> list[dict]:
+    """Check the JSON object ``obj`` against the fields of the dataclasses
+    ``classes``, less ``exclude``, and split it into keyword arguments, one
+    dict per class. An omitted key is left out, so its field keeps its default.
+
+    A field's type hint, or its entry in ``json_hints``, gives the JSON value
+    it takes: a number for ``float``, an object for a mapping or a dataclass,
+    an array for a list, ``null`` for an optional field. Raises ValueError
+    naming the key for an unknown or missing key, a value of the wrong JSON
+    type, or an ``obj`` that is not a JSON object.
+    """
+    if type(obj) is not dict:
+        raise ValueError(f"{what}: expected a JSON object, got {type(obj).__name__}")
+    declared = [[f for f in fields(cls) if f.name not in exclude] for cls in classes]
+    unknown = sorted(set(obj).difference(*([f.name for f in d] for d in declared)))
     if unknown:
         raise ValueError(f"{what}: unknown keys {unknown}")
+    missing = [f.name for d in declared for f in d if f.name not in obj
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{what}: missing keys {missing}")
+    out = []
+    for cls, d in zip(classes, declared):
+        hints = {**get_type_hints(cls), **json_hints}
+        out.append({f.name: _from_json(hints[f.name], obj[f.name], f"{what}: {f.name}")
+                    for f in d if f.name in obj})
+    return out
 
 
-def model_spec_from_json(obj: Mapping) -> DeviceModelSpec:
-    _check_keys(obj, [f.name for f in fields(DeviceModelSpec)], "model spec")
-    profile = obj.get("temp_profile", {})
-    _check_keys(profile, [f.name for f in fields(TempProfile)], "temp_profile")
-    return DeviceModelSpec(
-        model_name=obj["model_name"],
-        cpu_freq_hz=float(obj["cpu_freq_hz"]),
-        gpu_freq_hz=float(obj["gpu_freq_hz"]),
-        op_duration_ns={k: float(v) for k, v in obj["op_duration_ns"].items()},
-        skew_sigma_ppm=float(obj.get("skew_sigma_ppm", 200.0)),
-        offset_sigma_ppm=float(obj.get("offset_sigma_ppm", 600.0)),
-        jitter_sigma=float(obj.get("jitter_sigma", 5e-4)),
-        jitter_overrides={k: float(v) for k, v in obj.get("jitter_overrides", {}).items()},
-        temp_coeff_sleep=float(obj.get("temp_coeff_sleep", 0.0)),
-        temp_coeff_other=float(obj.get("temp_coeff_other", 1e-5)),
-        temp_coeff_overrides={k: float(v) for k, v in obj.get("temp_coeff_overrides", {}).items()},
-        temp_profile=TempProfile(
-            mean_c=float(profile.get("mean_c", 50.0)),
-            daily_amplitude_c=float(profile.get("daily_amplitude_c", 3.0)),
-            noise_sigma_c=float(profile.get("noise_sigma_c", 0.3)),
-        ),
-        write_center_split=float(obj.get("write_center_split", 0.0)),
-    )
+def _from_json(hint, value: object, what: str):
+    """``value`` as the type ``hint`` names, or ValueError naming ``what``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if is_dataclass(hint):
+        (kwargs,) = json_kwargs(value, what, hint)
+        return hint(**kwargs)
+    if origin is UnionType:  # X | None
+        return None if value is None else _from_json(args[0], value, what)
+    if origin is list and type(value) is list:
+        return [_from_json(args[0], v, f"{what}[{i}]") for i, v in enumerate(value)]
+    if origin is Mapping and type(value) is dict:
+        return {k: _from_json(args[1], v, f"{what}: {k}") for k, v in value.items()}
+    if hint is float and type(value) in (int, float):
+        return float(value)
+    if type(value) is hint or (hint is Path and type(value) is str):
+        return value
+    raise ValueError(f"{what}: expected {getattr(hint, '__name__', hint)}, "
+                     f"got {type(value).__name__}")
 
 
-def farm_config_from_json(obj: Mapping) -> FarmConfig:
-    _check_keys(obj, [f.name for f in fields(FarmConfig)], "farm config")
-    for entry in obj["models"]:
-        _check_keys(entry, ("count", "spec"), "models entry")
-    return FarmConfig(
-        models=tuple(
-            (model_spec_from_json(entry["spec"]), int(entry["count"]))
-            for entry in obj["models"]
-        ),
-        master_seed=int(obj.get("master_seed", 1)),
-        samples_per_device=int(obj.get("samples_per_device", 100)),
-        start_time=float(obj.get("start_time", 1_700_000_000.0)),
-    )
+def model_spec_from_json(obj: object) -> DeviceModelSpec:
+    return _from_json(DeviceModelSpec, obj, "model spec")
+
+
+@dataclass(frozen=True)
+class _ModelEntry:
+    """The JSON form of one ``FarmConfig.models`` item."""
+
+    count: int
+    spec: DeviceModelSpec
+
+
+def farm_config_from_json(obj: object) -> FarmConfig:
+    (kwargs,) = json_kwargs(obj, "farm config", FarmConfig,
+                            json_hints={"models": list[_ModelEntry]})
+    kwargs["models"] = tuple((entry.spec, entry.count) for entry in kwargs["models"])
+    return FarmConfig(**kwargs)

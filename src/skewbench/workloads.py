@@ -43,7 +43,6 @@ FIB_N = 20
 MATRIX_DIM = 96
 MATRIX_SEED = 0x5EED
 
-HASH_PAYLOAD_BYTES = 1024
 FIXED_HASH_PAYLOAD = bytes(range(256)) * 4
 HASH_FUNCTION_NAME = "fnv1a64-seeded"
 
@@ -85,10 +84,10 @@ def run_string_hash(payload: bytes, seed: int) -> int:
     return h
 
 
-def run_urandom(buffer: bytearray, path: str = "/dev/urandom") -> int:
+def run_urandom(buffer: bytearray) -> int:
     """Fill ``buffer`` from the system entropy interface; returns bytes read."""
     try:
-        with open(path, "rb", buffering=0) as fh:
+        with open("/dev/urandom", "rb", buffering=0) as fh:
             view = memoryview(buffer)
             filled = 0
             while filled < len(buffer):
@@ -104,8 +103,8 @@ def run_urandom(buffer: bytearray, path: str = "/dev/urandom") -> int:
     return filled
 
 
-def run_list_creation(n: int = LIST_LENGTH) -> list[int]:
-    return list(range(n))
+def run_list_creation() -> list[int]:
+    return list(range(LIST_LENGTH))
 
 
 def run_mem_reserve(n_bytes: int = MEM_RESERVE_BYTES) -> bytearray:
@@ -150,10 +149,10 @@ class GpuSurrogate:
 
     backend_name = "cpu-surrogate"
 
-    def __init__(self, dim: int = MATRIX_DIM, seed: int = MATRIX_SEED):
-        rng = np.random.default_rng(seed)
-        self.a = rng.standard_normal((dim, dim), dtype=np.float32)
-        self.b = rng.standard_normal((dim, dim), dtype=np.float32)
+    def __init__(self):
+        rng = np.random.default_rng(MATRIX_SEED)
+        self.a = rng.standard_normal((MATRIX_DIM, MATRIX_DIM), dtype=np.float32)
+        self.b = rng.standard_normal((MATRIX_DIM, MATRIX_DIM), dtype=np.float32)
         self.out = np.empty_like(self.a)
 
     def matrixmul(self) -> None:

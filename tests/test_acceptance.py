@@ -43,8 +43,8 @@ from skewbench.simulator import (
     make_device,
     make_farm,
     simulate_dataset,
-    with_heterogeneous_scales,
 )
+from test_simulator import SLEEP_COLUMNS, with_heterogeneous_scales
 
 RELATIVE_TOLERANCE = 1e-9          # criterion 3
 ROUND_TRIP_DATASETS = 1000         # criterion 2
@@ -253,7 +253,7 @@ def test_criterion_5_individual_identification(default_farm_dataset):
 
 def test_criterion_6_temperature_correlation():
     started = time.time()
-    sleep_columns = set(schema.SLEEP_COLUMNS)
+    sleep_columns = set(SLEEP_COLUMNS)
 
     def device_correlations(model_name: str, n_samples: int = 8000):
         spec = default_models()[model_name]

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from skewbench import analysis, schema
+from skewbench import analysis, cli, schema
 from skewbench.cli import main
+from skewbench.collector import SessionConfig, SessionError
 from skewbench.simulator import (
     FarmConfig,
     default_farm_config,
@@ -144,6 +145,68 @@ class TestCollect:
             assert code == 0
         mac = json.loads((CONFIGS / "sim_device.json").read_text())["mac"]
         assert (tmp_path / "a" / f"{mac}.csv").read_bytes() == (tmp_path / "b" / f"{mac}.csv").read_bytes()
+
+    def test_misspelt_session_key_exits_1(self, tmp_path, capsys):
+        obj = json.loads((CONFIGS / "sim_device.json").read_text())
+        del obj["samples_per_session"]
+        obj["samples_per_sesion"] = 2
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps(obj))
+        code = main(["collect", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: session config: unknown keys ['samples_per_sesion']\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_omitted_keys_take_session_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def stop(config, adapter):
+            seen.append(config)
+            raise SessionError("stopped before sampling")
+
+        monkeypatch.setattr(cli, "run_session", stop)
+        obj = {k: v for k, v in json.loads((CONFIGS / "sim_device.json").read_text()).items()
+               if k in ("kind", "mac", "model", "model_spec")}
+        config = tmp_path / "minimal.json"
+        config.write_text(json.dumps(obj))
+        assert main(["collect", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--seed", "5"]) == 1
+        assert seen == [SessionConfig(obj["mac"], obj["model"], tmp_path / "out", seed=5)]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command, config, edit, key", [
+        pytest.param("simulate", "default_farm.json",
+                     lambda o: o["models"][0]["spec"].pop("cpu_freq_hz"), "cpu_freq_hz",
+                     id="simulate-missing-cpu_freq_hz"),
+        pytest.param("simulate", "default_farm.json",
+                     lambda o: o["models"][0]["spec"].update(cpu_freq_hz=[1]), "cpu_freq_hz",
+                     id="simulate-type-cpu_freq_hz"),
+        pytest.param("collect", "sim_device.json", lambda o: o.pop("mac"), "mac",
+                     id="collect-missing-mac"),
+        pytest.param("collect", "sim_device.json", lambda o: o.pop("model_spec"), "model_spec",
+                     id="collect-missing-model_spec"),
+        pytest.param("collect", "sim_device.json", lambda o: o.update(seed="1"), "seed",
+                     id="collect-type-seed"),
+        pytest.param("collect", "sim_device.json", lambda o: o["model_spec"].pop("gpu_freq_hz"),
+                     "gpu_freq_hz", id="collect-missing-spec-gpu_freq_hz"),
+    ])
+    def test_exits_1_naming_the_key(self, tmp_path, capsys, command, config, edit, key):
+        obj = json.loads((CONFIGS / config).read_text())
+        edit(obj)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_object_session_config(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert main(["collect", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: session config: expected a JSON object, got list\n"
 
 
 class TestAnalysisCommands:

@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -260,7 +261,7 @@ class TestCollectSample:
             return run
 
         registry = CounterRegistry(include_host_timer=False)
-        registry.register(CounterSource("timer", Component.TIMER, 1e9), counting_read)
+        registry.register(CounterSource("timer", Component.TIMER), counting_read)
         config = sim_config(tmp_path)
         adapter = HostAdapter(config, probe=FakeProbe(tmp_path / "root"), registry=registry)
         adapter.setup()
@@ -298,6 +299,27 @@ class TestCollectSample:
         mac_model = ("fsync", (tmp_path / "MAC-Model.txt").stat().st_ino)
         assert mac_model in order
         assert order.index(mac_model) < order.index(("row", None))
+
+    def test_directory_fsynced_before_first_row(self, tmp_path, monkeypatch):
+        order = []
+        fsync, format_rows = os.fsync, schema.format_rows
+
+        def logged_fsync(fd):
+            order.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode), os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def logged_format_rows(*args, **kwargs):
+            order.append(("row",))
+            return format_rows(*args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(schema, "format_rows", logged_format_rows)
+        run_session(sim_config(tmp_path, samples=2), VirtualAdapter.for_device(sim_device(), 0.0))
+        directory = ("fsync", True, tmp_path.stat().st_ino)
+        assert order.count(directory) == 1
+        assert order.index(directory) < order.index(("row",))
+        assert order.index(directory) > order.index(
+            ("fsync", False, (tmp_path / "MAC-Model.txt").stat().st_ino))
 
 
 class TestRunSession:

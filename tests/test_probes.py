@@ -36,14 +36,14 @@ class FakeCounter:
 
 
 def fake_gpu_source(width_bits: int = 64) -> CounterSource:
-    return CounterSource("gpu-fake", Component.GPU, 5e8, width_bits=width_bits)
+    return CounterSource("gpu-fake", Component.GPU, width_bits=width_bits)
 
 
 def fake_registry(gpu_read, cpu_read, gpu_width_bits: int = 64) -> CounterRegistry:
     """``gpu-fake`` observes CPU work, ``cpu-fake`` everything else."""
     reg = CounterRegistry(include_host_timer=False)
     reg.register(fake_gpu_source(gpu_width_bits), gpu_read)
-    reg.register(CounterSource("cpu-fake", Component.CPU, 1e9), cpu_read)
+    reg.register(CounterSource("cpu-fake", Component.CPU), cpu_read)
     return reg
 
 
@@ -221,7 +221,7 @@ class TestMeasure:
 
     def test_noop_bounded_by_overhead(self):
         reg = host_registry()
-        overhead = reg.measure_overhead(TIMER_SOURCE_ID, repetitions=1000)
+        overhead = reg.measure_overhead(TIMER_SOURCE_ID)
         adapter = BracketStub(reg, lambda binding: None)
         # min over many brackets discards scheduler blips hitting the no-op
         best = min(min(sample_deltas(adapter).values()) for _ in range(3))
@@ -253,7 +253,7 @@ class TestObserverSelection:
 
     def test_others_observed_by_cpu_side(self):
         reg = CounterRegistry(include_host_timer=True)
-        reg.register(CounterSource("cpu-fake", Component.CPU, 1e9), FakeCounter().read)
+        reg.register(CounterSource("cpu-fake", Component.CPU), FakeCounter().read)
         for target in (Component.GPU, Component.MEMORY, Component.STORAGE):
             assert observer_for(reg, target).id == "cpu-fake"
 

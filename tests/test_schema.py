@@ -339,7 +339,7 @@ def _storage_aggregates(block: np.ndarray) -> np.ndarray:
 def aggregate_storage_features(sample: SampleVector) -> SampleVector:
     """Per-row oracle for aggregate_storage_matrix, over the fixed layout:
     storage reads in numeric columns 17-116, writes in 117-216."""
-    sample.validate(DEFAULT_SCHEMA)
+    sample.validate()
     vals = sample.values
     reads = _storage_aggregates(vals[17:117])
     writes = _storage_aggregates(vals[117:217])

@@ -7,6 +7,7 @@ import pytest
 
 from skewbench import schema, simulator
 from skewbench.collector import VirtualAdapter, bracket_plan
+from skewbench.probes import Component
 from skewbench.simulator import (
     DeviceModelSpec,
     FarmConfig,
@@ -22,9 +23,25 @@ from skewbench.simulator import (
     modeled_temperature,
     simulate_dataset,
     simulate_device_rows,
-    with_heterogeneous_scales,
 )
-from skewbench.workloads import FEATURE_BINDINGS
+from skewbench.workloads import FEATURE_BINDINGS, KIND_BY_ID, KINDS
+
+SLEEP_COLUMNS = tuple(b.column for b in FEATURE_BINDINGS if KIND_BY_ID[b.workload_id].sleep)
+
+
+def with_heterogeneous_scales(config: FarmConfig, noisy_jitter: float = 0.03) -> FarmConfig:
+    """Raise the jitter of every GPU, memory and storage workload kind.
+
+    Produces a farm where feature scales are wildly heterogeneous: CPU
+    features stay clean while GPU, memory, and storage features drown in
+    noise, which unweighted distance metrics cannot shrug off.
+    """
+    noisy = {k.id: noisy_jitter for k in KINDS if k.component is not Component.CPU}
+    models = tuple(
+        (dataclasses.replace(spec, jitter_overrides={**spec.jitter_overrides, **noisy}), count)
+        for spec, count in config.models
+    )
+    return dataclasses.replace(config, models=models)
 
 
 def sample_values(device, vectors, t, rng):
@@ -185,7 +202,7 @@ class TestClosedForm:
         spec = quiet_model()
         low = explicit_device(spec, gpu_skew=-50.0)
         high = explicit_device(spec, gpu_skew=50.0)
-        for col in schema.SLEEP_COLUMNS:
+        for col in SLEEP_COLUMNS:
             assert feature_expectation(low, col, 0.0) < feature_expectation(high, col, 0.0)
 
     def test_temperature_moves_non_sleep_features(self):
@@ -365,13 +382,30 @@ class TestConfigJson:
         assert spec.skew_sigma_ppm == 200.0
         assert spec.jitter_sigma == 5e-4
 
-    @pytest.mark.parametrize("where, key", [
-        ("spec", "jitter_sigmaa"),
-        ("temp_profile", "mean"),
-        ("farm", "samples_per_devic"),
-        ("entry", "weight"),
+    @pytest.mark.parametrize("where, key, value", [
+        pytest.param("spec", "jitter_sigmaa", 0.5, id="spec-jitter_sigmaa"),
+        pytest.param("temp_profile", "mean", 0.5, id="temp_profile-mean"),
+        pytest.param("farm", "samples_per_devic", 0.5, id="farm-samples_per_devic"),
+        pytest.param("entry", "weight", 0.5, id="entry-weight"),
+        # missing required keys
+        pytest.param("spec", "cpu_freq_hz", None, id="missing-spec-cpu_freq_hz"),
+        pytest.param("spec", "op_duration_ns", None, id="missing-spec-op_duration_ns"),
+        pytest.param("farm", "models", None, id="missing-farm-models"),
+        pytest.param("entry", "count", None, id="missing-entry-count"),
+        # values of the wrong JSON type
+        pytest.param("spec", "cpu_freq_hz", [1], id="type-spec-cpu_freq_hz"),
+        pytest.param("spec", "model_name", 4, id="type-spec-model_name"),
+        pytest.param("spec", "jitter_overrides", [], id="type-spec-jitter_overrides"),
+        pytest.param("spec", "temp_profile", 50.0, id="type-spec-temp_profile"),
+        pytest.param("temp_profile", "mean_c", "50", id="type-temp_profile-mean_c"),
+        pytest.param("farm", "master_seed", 1.5, id="type-farm-master_seed"),
+        pytest.param("farm", "samples_per_device", True, id="type-farm-samples_per_device"),
+        pytest.param("farm", "models", {}, id="type-farm-models"),
+        pytest.param("entry", "spec", [], id="type-entry-spec"),
     ])
-    def test_unknown_key_rejected(self, where, key):
+    def test_unknown_key_rejected(self, where, key, value):
+        """An unknown key, a missing required key (``value`` None) or a
+        value of the wrong JSON type raises ValueError naming the key."""
         obj = farm_config_to_json(default_farm_config())
         target = {
             "spec": obj["models"][0]["spec"],
@@ -379,6 +413,21 @@ class TestConfigJson:
             "farm": obj,
             "entry": obj["models"][0],
         }[where]
-        target[key] = 0.5
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
         with pytest.raises(ValueError, match=key):
             farm_config_from_json(obj)
+
+    @pytest.mark.parametrize("obj", [[], "farm", 1, None])
+    def test_non_object_rejected(self, obj):
+        with pytest.raises(ValueError, match="farm config: expected a JSON object"):
+            farm_config_from_json(obj)
+
+    def test_numbers_take_float_fields(self):
+        obj = farm_config_to_json(default_farm_config())
+        obj["models"][0]["spec"]["cpu_freq_hz"] = 1_500_000_000
+        spec = farm_config_from_json(obj).models[0][0]
+        assert spec == default_models()["RPi4like"]
+        assert type(spec.cpu_freq_hz) is float

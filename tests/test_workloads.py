@@ -261,7 +261,7 @@ class TestStorage:
 
         monkeypatch.setattr(collector, "StorageScratch", FakeScratch)
         reg = CounterRegistry()  # the timer observes the CPU work, which is not run
-        reg.register(CounterSource("cpu-v", Component.CPU, 1e9), lambda: int(clock["t"] * 1e9))
+        reg.register(CounterSource("cpu-v", Component.CPU), lambda: int(clock["t"] * 1e9))
         deltas = measure_storage(host_adapter(registry=reg), "storage_read")
         assert len(deltas) == 100
         mean_s = np.mean(deltas) / 1e9
