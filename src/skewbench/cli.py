@@ -86,6 +86,10 @@ class SessionDevice:
     start_time: float = DEFAULT_START_TIME
 
 
+# The SessionDevice keys that only a simulated device reads.
+_SIMULATED_KEYS = frozenset({"model_spec", "device_seed", "start_time"})
+
+
 def cmd_collect(args) -> int:
     own, session = json_kwargs(_load_json(args.config), "session config", SessionDevice,
                                SessionConfig, exclude=("device_mac", "device_model"))
@@ -100,6 +104,9 @@ def cmd_collect(args) -> int:
         virtual = make_device(device.model_spec, config.device_mac, device.device_seed)
         adapter = VirtualAdapter.for_device(virtual, device.start_time, sample_seed=config.seed)
     elif device.kind == "host":
+        ignored = sorted(_SIMULATED_KEYS & own.keys())
+        if ignored:
+            raise CommandError(f"session config: keys {ignored} apply only to kind simulated")
         adapter = HostAdapter(config)
     else:
         raise CommandError(f"unknown device kind {device.kind!r}; expected simulated or host")

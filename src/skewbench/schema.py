@@ -11,9 +11,18 @@ each storage kind's columns to four statistics, are derived from
 The row bytes have one definition, :func:`format_rows`: each numeric cell
 is ``repr`` of its float64 value, so floats round-trip exactly and a
 re-write of a freshly read dataset is byte-identical. Bulk writes and the
-collector's one-row appends both go through it. The reader parses a whole
-device file with one ``float`` pass and falls back to row-by-row parsing
-only to name the first bad row and cell.
+collector's one-row appends both go through it. A row whose feature cells
+are all integral counts below 1e16 (what the simulator and the collector
+record) prints them as ``%d.0``, which gives the same text as ``repr``
+without its shortest-round-trip search; every other row takes ``repr``
+cell by cell.
+
+The reader parses a whole device file with numpy's C text reader,
+``np.loadtxt`` (numpy >= 1.24, the declared floor, has it), after checking
+each line's column count and label. If any check fails, or the reader
+rejects a cell, it parses the file row by row with ``float``, which names
+the first bad row and cell; so a file reads, or fails with the same error,
+exactly as a row-by-row ``float`` parse alone would have it.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +70,10 @@ STORAGE_READ_SLICE, STORAGE_WRITE_SLICE = STORAGE_SLICES
 TEMPERATURE_UNAVAILABLE_C = -273.0
 
 _MAC_PATTERN = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
+
+# np.loadtxt strips these ASCII separators around a number as whitespace,
+# where float rejects the cell.
+_LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
 class DatasetError(Exception):
@@ -231,15 +243,31 @@ def format_rows(rows: np.ndarray, label: str) -> str:
     """CSV lines for ``(n, n_numeric)`` rows, each ending in ``,<label>``
     and a newline.
 
-    Every cell is :func:`format_value` of its value; ``tolist`` yields the
-    same Python floats that ``float`` would, without a call per cell.
+    Every cell is :func:`format_value` of its value. Most feature cells are
+    counts, and for an integral float ``v`` with ``0 < v < 1e16``,
+    ``repr(v)`` is ``"%d.0" % v``: below 1e16 ``repr`` prints no exponent,
+    and the open lower bound keeps ``-0.0`` out. So a row whose feature
+    cells all pass that test is printed with one format string, ``%r`` for
+    its timestamp and temperature and ``%d.0`` for each feature cell, and
+    skips the shortest-round-trip search for the counts. Every other row
+    (the aggregated schema's means and medians, hand-made data) takes
+    ``repr`` cell by cell. Both give the same bytes.
     """
+    rows = np.asarray(rows, dtype=np.float64)
     tail = f",{label}\n"
-    # tolist per row: on the whole matrix it would hold a float object for
-    # every cell at once and raise peak memory.
-    return "".join(
-        [",".join(map(repr, row.tolist())) + tail for row in np.asarray(rows, dtype=np.float64)]
-    )
+    context, feats = rows[:, :FEATURE_OFFSET], rows[:, FEATURE_OFFSET:]
+    integral = ((feats > 0) & (feats < 1e16) & (np.rint(feats) == feats)).all(axis=1)
+    int_rows = iter(feats[integral].astype(np.int64))
+    counts_line = ",".join(["%r"] * context.shape[1] + ["%d.0"] * feats.shape[1])
+    # tolist per row: on the whole matrix it would hold an object for every
+    # cell at once and raise peak memory.
+    lines = []
+    for row, ctx, is_int in zip(rows, context.tolist(), integral.tolist()):
+        if is_int:
+            lines.append(counts_line % (*ctx, *next(int_rows).tolist()) + tail)
+        else:
+            lines.append(",".join(map(repr, row.tolist())) + tail)
+    return "".join(lines)
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:
@@ -331,18 +359,29 @@ def _read_device_csv(path: Path, mac: str) -> tuple[np.ndarray | None, FeatureSc
 
 
 def _parse_rows_fast(lines: list[str], schema: FeatureSchema, mac: str) -> np.ndarray | None:
-    """All rows in one ``float`` pass, or None if any row fails a check."""
+    """All rows in one call of numpy's C text reader, or None if any row
+    fails a check or holds a cell the reader and ``float`` might disagree on.
+
+    ``comments=None`` keeps a ``#`` inside a cell from ending the line. The
+    reader rejects some cells that ``float`` accepts (``1_0``, non-ASCII
+    digits); those files go to the row-by-row parse, which reads them as
+    ``float`` does.
+    """
     commas = schema.n_columns - 1
     if not all(ln.count(",") == commas and ln.rpartition(",")[2].lower() == mac for ln in lines):
         return None
-    cells = chain.from_iterable(ln.split(",")[:-1] for ln in lines)
+    if any(c in ln for ln in lines for c in _LOADTXT_ONLY_SPACES):
+        return None
+    if not lines:
+        return np.empty((0, commas))
     try:
-        values = np.fromiter(map(float, cells), np.float64, count=len(lines) * commas)
+        values = np.loadtxt(lines, delimiter=",", usecols=range(commas), comments=None,
+                            dtype=np.float64, ndmin=2)
     except ValueError:
         return None
     if not np.isfinite(values).all():
         return None
-    return values.reshape(len(lines), commas)
+    return values
 
 
 def read_dataset(directory: str | Path) -> Dataset:

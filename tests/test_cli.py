@@ -157,6 +157,19 @@ class TestCollect:
         assert capsys.readouterr().err == "error: session config: unknown keys ['samples_per_sesion']\n"
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_simulated_keys_on_host_config_exit_1(self, tmp_path, capsys):
+        obj = json.loads((CONFIGS / "sim_device.json").read_text())
+        del obj["kind"]
+        config = tmp_path / "no_kind.json"
+        config.write_text(json.dumps(obj))
+        code = main(["collect", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: session config: keys ['device_seed', 'model_spec', 'start_time'] "
+            "apply only to kind simulated\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_omitted_keys_take_session_defaults(self, tmp_path, monkeypatch):
         seen = []
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from skewbench.schema import (
     read_dataset,
     write_dataset,
 )
+from skewbench.simulator import DEFAULT_START_TIME, default_farm_config, make_farm, simulate_dataset
 
 
 def make_row(rng: np.random.Generator, timestamp: float) -> np.ndarray:
@@ -189,6 +192,37 @@ class TestWriteRead:
             read_dataset(tmp_path)
 
 
+def repr_lines(rows, mac: str) -> list[str]:
+    """The per-cell ``repr`` oracle for :func:`format_rows`, one line per row."""
+    return [",".join(repr(float(v)) for v in row) + f",{mac}\n" for row in rows]
+
+
+# SHA-256 over each file's name and bytes, in name order, of the directory
+# write_dataset makes from the seed-1009 default fleet at 20 samples a device.
+FLEET_1009_SHA256 = "0903b16205f2ae4f05e27dbddaac0e18a4abb130989d04aea9489b38ab85a154"
+
+integral_floats = st.integers(-(2**54), 2**54).map(float)
+positive_counts = st.integers(1, 2**54).map(float)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def count_matrices(draw):
+    """Rows of one width: up to two context cells of any finite float, then
+    feature cells that, row by row, come from one of: positive integral
+    floats, integral floats of either sign, or integral floats mixed with
+    any finite float."""
+    width = draw(st.integers(min_value=0, max_value=8))
+    n_context = min(width, 2)
+    kinds = st.sampled_from([positive_counts, integral_floats, integral_floats | finite_floats])
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        context = draw(st.lists(finite_floats, min_size=n_context, max_size=n_context))
+        rows.append(context + draw(st.lists(draw(kinds), min_size=width - n_context,
+                                            max_size=width - n_context)))
+    return rows
+
+
 class TestFormatRows:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(
@@ -202,6 +236,33 @@ class TestFormatRows:
         values = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
         expected = "".join(",".join(repr(float(v)) for v in row) + f",{mac}\n" for row in values)
         assert format_rows(values, mac) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(count_matrices())
+    @example([[1.7e9, 41.5, 1e16 - 2, 2.0**53 + 2, 1.0]])
+    @example([[1.7e9, 41.5, 1e16, 2.0**53 + 2, 1.0]])
+    @example([[-0.0, -0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 5.0, -0.0, 3.0], [0.0, 0.0, 5.0, 0.0, 3.0]])
+    @example([[-1.0, 2.5, -7.0, -(2.0**53), 4.0], [-1.0, 2.5, 7.0, 2.0**53, 4.0]])
+    @example([[1.7e9, 41.5, 1.0, 2.0, 3.0], [1.7e9, 41.5, 1.5, 2.0, 3.0], [1.7e9, 41.5, 9.0, 8.0, 7.0]])
+    def test_integral_rows_match_repr(self, rows):
+        mac = "02:00:00:00:00:01"
+        values = np.array(rows, dtype=np.float64).reshape(len(rows), len(rows[0]) if rows else 5)
+        assert format_rows(values, mac) == "".join(repr_lines(values, mac))
+
+    def test_fleet_bytes_pinned(self, tmp_path):
+        ds = simulate_dataset(make_farm(default_farm_config(master_seed=1009)), 20, DEFAULT_START_TIME)
+        write_dataset(ds, tmp_path)
+        h = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            h.update(path.name.encode())
+            h.update(path.read_bytes())
+        assert h.hexdigest() == FLEET_1009_SHA256
+        for dev in ds.devices:
+            rows = ds.rows(dev.mac)
+            # Every feature cell of a simulated row is an integral count.
+            assert np.array_equal(np.rint(rows[:, 2:]), rows[:, 2:])
+            lines = (tmp_path / f"{dev.mac}.csv").read_text().splitlines(keepends=True)
+            assert lines[1:] == repr_lines(rows, dev.mac)
 
 
 def write_device_csv(directory, lines: list[str], newline: str = "\n") -> str:
@@ -267,6 +328,63 @@ class TestReaderParity:
         lines[2] = set_cell(lines[2], 10, "1_0")
         mac = write_device_csv(tmp_path, lines)
         assert read_dataset(tmp_path).rows(mac)[1, 10] == float("1_0") == 10.0
+
+    def test_hash_in_cell_is_not_a_comment(self, tmp_path):
+        # In the last numeric column, a comment marker would drop only the label.
+        lines = good_lines()
+        lines[2] = set_cell(lines[2], 216, "1#2")
+        write_device_csv(tmp_path, lines)
+        with pytest.raises(CellParseError) as info:
+            read_dataset(tmp_path)
+        assert str(info.value) == (
+            f"{tmp_path / '02:00:00:00:00:00.csv'}: row 3: column 'storage_write_100': "
+            "not numeric: '1#2'"
+        )
+
+    @pytest.mark.parametrize("cell", ["\x1c1", "1\x1f"])
+    def test_ascii_separator_around_number_rejected_as_float_does(self, tmp_path, cell):
+        lines = good_lines()
+        lines[1] = set_cell(lines[1], 4, cell)
+        write_device_csv(tmp_path, lines)
+        with pytest.raises(CellParseError) as info:
+            read_dataset(tmp_path)
+        assert str(info.value) == (
+            f"{tmp_path / '02:00:00:00:00:00.csv'}: row 2: column 'cpu_sleep_5s': "
+            f"not numeric: {cell!r}"
+        )
+
+    @pytest.mark.parametrize("cell", ["\u0661", "\u0663.\u0665"])
+    def test_non_ascii_digits_parse_as_float_does(self, tmp_path, cell):
+        lines = good_lines()
+        lines[2] = set_cell(lines[2], 10, cell)
+        mac = write_device_csv(tmp_path, lines)
+        assert read_dataset(tmp_path).rows(mac)[1, 10] == float(cell)
+
+    def test_random_bit_patterns_read_back_bit_identical(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(1009)
+        bits = rng.integers(0, 2**64 - 1, size=(300, 217), dtype=np.uint64, endpoint=True)
+        rows = bits.view(np.float64).copy()
+        rows[~np.isfinite(rows)] = 1.0
+        rows[:, 2:] = np.abs(rows[:, 2:])
+        rows[:, 2:][rows[:, 2:] == 0] = 5e-324
+        specials = [5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                    1.7976931348623157e308, -1.7976931348623157e308, -0.0, 0.0]
+        rows[: len(specials), 1] = specials
+        rows[0, 2:6] = [5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                        1.7976931348623157e308]
+        rows[:, 0] = np.sort(rows[:, 0])
+        rows[0, 0], rows[-1, 0] = -1.7976931348623157e308, 1.7976931348623157e308
+        # Integral counts below 1e16 take the integer formatting path.
+        rows[200:, 2:] = rng.integers(1, 10**16, size=(100, 215))
+        mac = "02:00:00:00:00:00"
+        write_dataset(Dataset([DeviceRecord(mac, "model0")], {mac: rows}), tmp_path)
+
+        def no_fallback(*args):
+            raise AssertionError("row-by-row parse used")
+
+        monkeypatch.setattr(schema, "_parse_row", no_fallback)
+        back = read_dataset(tmp_path).rows(mac)
+        assert np.array_equal(back.view(np.uint64), rows.view(np.uint64))
 
     def test_crlf_line_endings(self, tmp_path):
         write_device_csv(tmp_path / "lf", good_lines())
