@@ -153,7 +153,6 @@ def cmd_cluster(args) -> int:
             "wcss": result.wcss,
         },
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "projections.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y,cluster,label\n")
         for (x, y), cluster, label in zip(projected.projection, result.assignments, matrix.labels):
@@ -185,7 +184,6 @@ def cmd_identify(args) -> int:
             **report.to_json(),
         },
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "confusion_matrix.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("true_label," + ",".join(report.classes) + "\n")
         for i, cls in enumerate(report.classes):

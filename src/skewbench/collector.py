@@ -11,6 +11,12 @@ power loss mid-write is cut off at the next session start and kept in
 ``<file>.torn`` (the same for ``MAC-Model.txt``), and a session appends only
 to a CSV whose header is the 218-column schema.
 
+File names, header, ``MAC-Model.txt`` parser and line, and the row check
+are :mod:`skewbench.schema`'s, so a session appends what ``read_dataset``
+reads: MACs match case-insensitively, whitespace around a field is ignored,
+a model tag has no ``,`` or newline, and a ``MAC-Model.txt`` the reader
+rejects stops the session before any row.
+
 A session backend supplies the counters and the workloads: ``HostAdapter``
 for the real host, ``VirtualAdapter`` for a simulated device in virtual
 time. After the backend's setup, the session resolves each of the 215
@@ -123,11 +129,10 @@ class SessionConfig:
 
     def __post_init__(self):
         self.working_dir = Path(self.working_dir)
-        self.device_mac = self.device_mac.lower()
         if self.samples_per_session < 1:
             raise ValueError("samples_per_session must be >= 1")
-        if not schema.is_valid_mac(self.device_mac):
-            raise ValueError(f"not a MAC address: {self.device_mac!r}")
+        device = schema.DeviceRecord(self.device_mac, self.device_model)
+        self.device_mac, self.device_model = device.mac, device.model
 
 
 class PlatformProbe:
@@ -256,13 +261,10 @@ class SessionLog:
     killed session leaves every event added before the kill."""
 
     def __init__(self, path: Path):
-        self.events: list[dict] = []
         self._fh = open(path, "a", encoding="utf-8")
 
     def add(self, event: str, **payload) -> None:
-        entry = {"event": event, **payload}
-        self.events.append(entry)
-        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._fh.write(json.dumps({"event": event, **payload}, sort_keys=True) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -278,7 +280,6 @@ class SessionResult:
     degraded: bool
     aborted: bool
     abort_reason: str | None
-    log: SessionLog
 
 
 class HostAdapter:
@@ -435,19 +436,19 @@ def bracket_plan(adapter) -> list[tuple]:
     return plan
 
 
-def collect_sample(config: SessionConfig, adapter, plan: list[tuple]) -> schema.SampleVector:
-    """Assemble one complete row: timestamp, temperature, then every feature
-    in schema order, each the observer delta across its workload in
-    ``plan`` (see :func:`bracket_plan`).
+def collect_sample(config: SessionConfig, adapter, plan: list[tuple]) -> np.ndarray:
+    """Assemble and check one complete row of numeric values: timestamp,
+    temperature, then every feature in schema order, each the observer
+    delta across its workload in ``plan`` (see :func:`bracket_plan`).
 
     The bracket holds exactly the workload between the two reads; ``prepare``
     runs before the first read, and the delta check after the second. Any
     workload or measurement failure propagates and the partial sample is
     discarded by the caller; no row is ever half-written.
     """
-    values = np.empty(schema.DEFAULT_SCHEMA.n_numeric)
-    values[schema.TIMESTAMP_INDEX] = adapter.now()
-    values[schema.TEMPERATURE_INDEX] = adapter.read_temperature()
+    row = np.empty(schema.DEFAULT_SCHEMA.n_numeric)
+    row[schema.TIMESTAMP_INDEX] = adapter.now()
+    row[schema.TEMPERATURE_INDEX] = adapter.read_temperature()
     deltas = []
     for prepare, workload, read, period, observer_id in plan:
         if prepare is not None:
@@ -456,29 +457,23 @@ def collect_sample(config: SessionConfig, adapter, plan: list[tuple]) -> schema.
         workload()
         after = read()
         deltas.append(counter_delta(observer_id, period, before, after))
-    values[schema.FEATURE_OFFSET:] = deltas
-    sample = schema.SampleVector(values, config.device_mac)
-    sample.validate()
-    return sample
+    row[schema.FEATURE_OFFSET:] = deltas
+    schema.DEFAULT_SCHEMA.check_rows(row[None, :], config.device_mac)
+    return row
 
 
-def _ensure_mac_model_entry(directory: Path, mac: str, model: str) -> None:
-    path = directory / schema.MAC_MODEL_FILENAME
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            existing_mac, _, existing_model = line.partition(",")
-            if existing_mac == mac:
-                if existing_model != model:
-                    raise SessionError(
-                        f"{path}: {mac} already registered as {existing_model!r}, "
-                        f"not {model!r}"
-                    )
-                return
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(f"{mac},{model}\n")
-        # Durable before the first row: read_dataset skips unlisted CSVs.
-        fh.flush()
-        os.fsync(fh.fileno())
+def _ensure_mac_model_entry(path: Path, device: schema.DeviceRecord) -> None:
+    listed = schema.read_mac_model(path).get(device.mac) if path.exists() else None
+    if listed is None:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(schema.mac_model_line(device))
+            # Durable before the first row: read_dataset skips unlisted CSVs.
+            fh.flush()
+            os.fsync(fh.fileno())
+    elif listed != device:
+        raise SessionError(
+            f"{path}: {device.mac} already registered as {listed.model!r}, not {device.model!r}"
+        )
 
 
 def _repair_torn_tail(path: Path, log: SessionLog) -> None:
@@ -521,7 +516,7 @@ def _check_header(csv_path: Path) -> None:
     """Refuse to append to a device CSV whose header is not the 218-column one."""
     with open(csv_path, "rb") as fh:
         header = fh.readline().rstrip(b"\r\n").decode("utf-8", errors="replace")
-    if header != ",".join(schema.DEFAULT_SCHEMA.columns):
+    if header != schema.DEFAULT_SCHEMA.header:
         raise SessionError(
             f"{csv_path}: existing header is not the {schema.DEFAULT_SCHEMA.n_columns}-column "
             "schema; refusing to append"
@@ -534,16 +529,16 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
     Appends at most ``samples_per_session`` rows to ``<MAC>.csv`` under the
     working directory and stops. The session journal beside it is written
     as events happen, from before the preflight on, and both files are
-    fsynced at session end. A ``progress`` callable, if given, is invoked
-    after each appended row; raising from it aborts the session cleanly
-    (used by supervisors to stop early).
+    fsynced at session end. A ``progress`` callable, if given, is invoked as
+    ``progress(index, row)`` after each appended row; raising from it aborts
+    the session cleanly (used by supervisors to stop early).
     """
     if adapter is None:
         adapter = HostAdapter(config)
     config.working_dir.mkdir(parents=True, exist_ok=True)
-    log_path = config.working_dir / f"{config.device_mac.replace(':', '-')}.session.jsonl"
-    csv_path = config.working_dir / f"{config.device_mac}.csv"
-    log = SessionLog(log_path)
+    csv_path = schema.csv_path(config.working_dir, config.device_mac)
+    mac_model = config.working_dir / schema.MAC_MODEL_FILENAME
+    log = SessionLog(schema.journal_path(config.working_dir, config.device_mac))
     try:
         log.add("session_start", mac=config.device_mac, model=config.device_model,
                 samples_per_session=config.samples_per_session, seed=config.seed,
@@ -571,8 +566,9 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
             for observer_id in sorted({entry[-1] for entry in plan}):
                 log.add("bracket_overhead", **adapter.registry.measure_overhead(observer_id))
 
-            _repair_torn_tail(config.working_dir / schema.MAC_MODEL_FILENAME, log)
-            _ensure_mac_model_entry(config.working_dir, config.device_mac, config.device_model)
+            _repair_torn_tail(mac_model, log)
+            device = schema.DeviceRecord(config.device_mac, config.device_model)
+            _ensure_mac_model_entry(mac_model, device)
             _repair_torn_tail(csv_path, log)
             new_file = not csv_path.exists() or csv_path.stat().st_size == 0
             if not new_file:
@@ -586,11 +582,11 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
                 finally:
                     os.close(dir_fd)
                 if new_file:
-                    fh.write(",".join(schema.DEFAULT_SCHEMA.columns) + "\n")
+                    fh.write(schema.DEFAULT_SCHEMA.header + "\n")
                     fh.flush()
                 for index in range(config.samples_per_session):
                     try:
-                        sample = collect_sample(config, adapter, plan)
+                        row = collect_sample(config, adapter, plan)
                     except SessionError:
                         raise
                     except KeyboardInterrupt:
@@ -601,13 +597,14 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
                         abort_reason = f"sample {index}: {exc}"
                         log.add("sample", index=index, ok=False, error=str(exc))
                         break
-                    fh.write(schema.format_rows(sample.values[None, :], sample.label))
+                    fh.write(schema.format_rows(row[None, :], config.device_mac))
                     fh.flush()
                     rows_written += 1
-                    log.add("sample", index=index, ok=True, timestamp=sample.timestamp)
+                    log.add("sample", index=index, ok=True,
+                            timestamp=float(row[schema.TIMESTAMP_INDEX]))
                     if progress is not None:
                         try:
-                            progress(index, sample)
+                            progress(index, row)
                         except (Exception, KeyboardInterrupt) as exc:
                             abort_reason = f"stopped by supervisor at sample {index}: {exc}"
                             break
@@ -627,5 +624,4 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
         degraded=report.degraded,
         aborted=abort_reason is not None,
         abort_reason=abort_reason,
-        log=log,
     )

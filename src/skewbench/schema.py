@@ -8,6 +8,11 @@ of 218 columns. The feature columns, and the aggregated schema that collapses
 each storage kind's columns to four statistics, are derived from
 :data:`skewbench.workloads.KINDS`, the one declaration of the workload kinds.
 
+This module alone knows the file layout and the row check; the collector
+appends through it. ``MAC-Model.txt`` has one ``MAC,model`` line per device.
+MACs are case-insensitive (stored lower-case) and listed once, whitespace
+around a field is ignored, and a model tag has no ``,`` or newline.
+
 The row bytes have one definition, :func:`format_rows`: each numeric cell
 is ``repr`` of its float64 value, so floats round-trip exactly and a
 re-write of a freshly read dataset is byte-identical. Bulk writes and the
@@ -124,6 +129,23 @@ class FeatureSchema:
     def index(self, column: str) -> int:
         return self.columns.index(column)
 
+    @property
+    def header(self) -> str:
+        """The CSV header line, without its newline."""
+        return ",".join(self.columns)
+
+    def check_rows(self, rows: np.ndarray, mac: str) -> None:
+        """Raise :class:`SchemaViolation` naming device ``mac`` unless ``rows``
+        is ``(n, n_numeric)``, all finite, with performance cells > 0."""
+        if rows.ndim != 2 or rows.shape[1] != self.n_numeric:
+            raise SchemaViolation(
+                f"device {mac}: expected shape (n, {self.n_numeric}), got {rows.shape}"
+            )
+        if not np.isfinite(rows).all():
+            raise SchemaViolation(f"device {mac}: non-finite values")
+        if not (rows[:, FEATURE_OFFSET:] > 0).all():
+            raise SchemaViolation(f"device {mac}: non-positive performance values")
+
 
 DEFAULT_SCHEMA = FeatureSchema(CONTEXT_COLUMNS + FEATURE_COLUMNS + (LABEL_COLUMN,))
 
@@ -143,40 +165,16 @@ def is_valid_mac(mac: str) -> bool:
     return bool(_MAC_PATTERN.match(mac))
 
 
-@dataclass(frozen=True, eq=False)
-class SampleVector:
-    """One dataset row: numeric values in schema order plus the MAC label."""
-
-    values: np.ndarray
-    label: str
-
-    def validate(self) -> None:
-        if self.values.shape != (DEFAULT_SCHEMA.n_numeric,):
-            raise SchemaViolation(
-                f"expected {DEFAULT_SCHEMA.n_numeric} numeric values, got {self.values.shape}"
-            )
-        if not is_valid_mac(self.label):
-            raise SchemaViolation(f"label is not a MAC address: {self.label!r}")
-        if not np.all(np.isfinite(self.values)):
-            raise SchemaViolation("sample contains non-finite values")
-        perf = self.values[FEATURE_OFFSET:]
-        if not np.all(perf > 0):
-            raise SchemaViolation("performance values must be strictly positive")
-
-    @property
-    def timestamp(self) -> float:
-        return float(self.values[TIMESTAMP_INDEX])
-
-
 @dataclass(frozen=True)
 class DeviceRecord:
-    """Associates a device MAC with its hardware model tag."""
+    """A device MAC, lower-cased, and its hardware model tag, both stripped."""
 
     mac: str
     model: str
 
     def __post_init__(self):
-        object.__setattr__(self, "mac", self.mac.lower())
+        object.__setattr__(self, "mac", self.mac.strip().lower())
+        object.__setattr__(self, "model", self.model.strip())
         if not is_valid_mac(self.mac):
             raise ValueError(f"not a MAC address: {self.mac!r}")
         if not self.model or any(c in self.model for c in ",\n\r"):
@@ -202,18 +200,8 @@ class Dataset:
         unknown = set(self.samples) - set(macs)
         if unknown:
             raise SchemaViolation(f"samples for unknown devices: {sorted(unknown)}")
-        width = self.schema.n_numeric
         for mac, rows in self.samples.items():
-            if rows.ndim != 2 or rows.shape[1] != width:
-                raise SchemaViolation(
-                    f"device {mac}: expected shape (n, {width}), got {rows.shape}"
-                )
-            if rows.size == 0:
-                continue
-            if not np.all(np.isfinite(rows)):
-                raise SchemaViolation(f"device {mac}: non-finite values")
-            if not np.all(rows[:, FEATURE_OFFSET:] > 0):
-                raise SchemaViolation(f"device {mac}: non-positive performance values")
+            self.schema.check_rows(rows, mac)
             ts = rows[:, TIMESTAMP_INDEX]
             if np.any(np.diff(ts) < 0):
                 raise SchemaViolation(f"device {mac}: timestamps decrease")
@@ -232,6 +220,42 @@ class Dataset:
             and set(self.samples) == set(other.samples)
             and all(np.array_equal(self.samples[m], other.samples[m]) for m in self.samples)
         )
+
+
+def csv_path(directory: str | Path, mac: str) -> Path:
+    """A device's CSV file: ``<mac>.csv``."""
+    return Path(directory) / f"{mac}.csv"
+
+
+def journal_path(directory: str | Path, mac: str) -> Path:
+    """A device's session journal: ``<mac>.session.jsonl``, ``:`` as ``-``."""
+    return Path(directory) / f"{mac.replace(':', '-')}.session.jsonl"
+
+
+def mac_model_line(device: DeviceRecord) -> str:
+    """``device``'s ``MAC-Model.txt`` line, newline included."""
+    return f"{device.mac},{device.model}\n"
+
+
+def read_mac_model(path: Path) -> dict[str, DeviceRecord]:
+    """The devices a ``MAC-Model.txt`` lists, by MAC in file order; a bad or
+    repeated entry raises :class:`SchemaViolation` naming its line."""
+    devices: dict[str, DeviceRecord] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            mac, sep, model = line.partition(",")
+            if not sep:
+                raise SchemaViolation(f"{path}: line {lineno}: expected 'MAC,model'")
+            try:
+                record = DeviceRecord(mac, model)
+            except ValueError as exc:
+                raise SchemaViolation(f"{path}: line {lineno}: {exc}") from None
+            if record.mac in devices:
+                raise SchemaViolation(f"{path}: line {lineno}: duplicate MAC {record.mac}")
+            devices[record.mac] = record
+    return devices
 
 
 def format_value(v: float) -> str:
@@ -279,19 +303,17 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
     dataset.validate()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    header = ",".join(dataset.schema.columns)
     written: list[str] = []
     try:
         mac_model = directory / MAC_MODEL_FILENAME
         with open(mac_model, "w", encoding="utf-8", newline="") as fh:
-            for dev in dataset.devices:
-                fh.write(f"{dev.mac},{dev.model}\n")
+            fh.write("".join(map(mac_model_line, dataset.devices)))
         written.append(str(mac_model))
         for dev in dataset.devices:
-            path = directory / f"{dev.mac}.csv"
+            path = csv_path(directory, dev.mac)
             rows = dataset.rows(dev.mac)
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(header + "\n" + format_rows(rows, dev.mac))
+                fh.write(dataset.schema.header + "\n" + format_rows(rows, dev.mac))
             written.append(str(path))
     except OSError as exc:
         raise DatasetWriteError(
@@ -390,29 +412,12 @@ def read_dataset(directory: str | Path) -> Dataset:
     mac_model = directory / MAC_MODEL_FILENAME
     if not mac_model.exists():
         raise DatasetError(f"missing {MAC_MODEL_FILENAME} in {directory}")
-    devices: list[DeviceRecord] = []
-    seen: set[str] = set()
-    with open(mac_model, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            mac, sep, model = line.partition(",")
-            if not sep:
-                raise SchemaViolation(f"{mac_model}: line {lineno}: expected 'MAC,model'")
-            try:
-                record = DeviceRecord(mac.strip(), model.strip())
-            except ValueError as exc:
-                raise SchemaViolation(f"{mac_model}: line {lineno}: {exc}") from None
-            if record.mac in seen:
-                raise SchemaViolation(f"{mac_model}: line {lineno}: duplicate MAC {record.mac}")
-            seen.add(record.mac)
-            devices.append(record)
+    devices = list(read_mac_model(mac_model).values())
 
     schema: FeatureSchema | None = None
     samples: dict[str, np.ndarray] = {}
     for dev in devices:
-        path = directory / f"{dev.mac}.csv"
+        path = csv_path(directory, dev.mac)
         if not path.exists():
             continue
         rows, file_schema = _read_device_csv(path, dev.mac)

@@ -9,6 +9,7 @@ wall-clock time (about seven minutes).
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import time
 from pathlib import Path
@@ -339,7 +340,7 @@ def test_criterion_8_collector_contracts(tmp_path):
         out = tmp_path / f"kill{kill_index}"
         injected = make_device(model, MAC_B, int(kill_index) + 10)
 
-        def kill(index, sample, target=int(kill_index)):
+        def kill(index, row, target=int(kill_index)):
             if index == target:
                 raise RuntimeError("injected kill")
 
@@ -383,8 +384,10 @@ def test_criterion_9_real_hardware_smoke(tmp_path):
     rows = dataset.rows(mac)
     assert np.all(rows[:, schema.FEATURE_OFFSET:] > 0)
 
+    journal = schema.journal_path(tmp_path, mac).read_text().splitlines()
     observers = {
-        event["observer"] for event in result.log.events if event["event"] == "bracket_overhead"
+        event["observer"] for event in map(json.loads, journal)
+        if event["event"] == "bracket_overhead"
     }
     assert observers == {"timer"}
 

@@ -170,6 +170,30 @@ class TestCollect:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_malformed_mac_model_exits_1_naming_the_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "MAC-Model.txt").write_text("garbage line\n")
+        code = main(["collect", "--config", str(CONFIGS / "sim_device.json"),
+                     "--out", str(out), "--samples", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'MAC-Model.txt'}: line 1: expected 'MAC,model'\n")
+        assert not list(out.glob("*.csv"))
+        assert (out / "MAC-Model.txt").read_text() == "garbage line\n"
+
+    @pytest.mark.parametrize("model", ["RPi,4", "RPi\n4"])
+    def test_model_tag_with_separator_exits_1(self, tmp_path, capsys, model):
+        obj = json.loads((CONFIGS / "sim_device.json").read_text())
+        obj["model"] = model
+        config = tmp_path / "bad_model.json"
+        config.write_text(json.dumps(obj))
+        code = main(["collect", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--samples", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: invalid model tag: {model!r}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_omitted_keys_take_session_defaults(self, tmp_path, monkeypatch):
         seen = []
 

@@ -53,6 +53,12 @@ def wrap_workloads(plan, wrapper):
             for i, (prepare, workload, *rest) in enumerate(plan)]
 
 
+def journal_events(directory, mac: str = MAC) -> list[dict]:
+    """Every event in the session journal that ``mac``'s sessions left in ``directory``."""
+    return [json.loads(line)
+            for line in schema.journal_path(directory, mac).read_text().splitlines()]
+
+
 def sim_config(tmp_path, samples: int = 3, **overrides) -> SessionConfig:
     defaults = dict(
         device_mac=MAC,
@@ -195,10 +201,9 @@ class TestCollectSample:
         device = sim_device(seed=11)
         adapter = VirtualAdapter.for_device(device, start_time=500.0)
         config = sim_config(tmp_path)
-        sample = collect_sample(config, adapter, bracket_plan(adapter))
+        row = collect_sample(config, adapter, bracket_plan(adapter))
         expected = simulate_device_rows(device, 1, start_time=500.0)[0]
-        assert np.array_equal(sample.values, expected)
-        assert sample.label == MAC
+        assert np.array_equal(row, expected)
 
     def test_two_samples_monotone_timestamps(self, tmp_path):
         adapter = VirtualAdapter.for_device(sim_device(), start_time=0.0)
@@ -206,7 +211,7 @@ class TestCollectSample:
         plan = bracket_plan(adapter)
         first = collect_sample(config, adapter, plan)
         second = collect_sample(config, adapter, plan)
-        assert second.timestamp >= first.timestamp
+        assert second[schema.TIMESTAMP_INDEX] >= first[schema.TIMESTAMP_INDEX]
 
     def test_exactly_one_workload_invocation_per_bracket(self, tmp_path):
         counts = [0] * N_FEATURES
@@ -274,12 +279,12 @@ class TestCollectSample:
                     prepare = logged_prepare(prepare)
                 expected += ["read", "workload", "read"]
                 plan.append((prepare, lambda: events.append("workload"), read, period, observer_id))
-            sample = collect_sample(config, adapter, plan)
+            row = collect_sample(config, adapter, plan)
         finally:
             adapter.teardown()
         assert events == expected
         assert expected.count("prepare") == 100  # one cache drop per storage read
-        assert np.array_equal(sample.values[schema.FEATURE_OFFSET:], np.full(N_FEATURES, 2.0))
+        assert np.array_equal(row[schema.FEATURE_OFFSET:], np.full(N_FEATURES, 2.0))
 
     def test_mac_model_fsynced_before_first_row(self, tmp_path, monkeypatch):
         order = []
@@ -357,7 +362,7 @@ class TestRunSession:
             out = tmp_path / f"kill{kill_at}"
             device = sim_device(seed=kill_at)
 
-            def killer(index, sample):
+            def killer(index, row):
                 if index == kill_at:
                     raise KeyboardInterrupt("injected kill")
 
@@ -374,7 +379,7 @@ class TestRunSession:
             "from skewbench.collector import SessionConfig, VirtualAdapter, run_session\n"
             "from skewbench.simulator import default_models, make_device\n"
             f"device = make_device(default_models()['RPi4like'], {MAC!r}, 7)\n"
-            "def kill(index, sample):\n"
+            "def kill(index, row):\n"
             "    if index == 5:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             f"config = SessionConfig({MAC!r}, 'RPi4like', sys.argv[1], samples_per_session=50)\n"
@@ -385,8 +390,7 @@ class TestRunSession:
                               capture_output=True, timeout=120)
         assert done.returncode == -signal.SIGKILL, done.stderr
         assert schema.read_dataset(tmp_path).n_samples == 6
-        log_path = tmp_path / f"{MAC.replace(':', '-')}.session.jsonl"
-        events = [json.loads(line) for line in log_path.read_text().splitlines()]
+        events = journal_events(tmp_path)
         kinds = [e["event"] for e in events]
         assert kinds[:2] == ["session_start", "preflight"]
         assert [e["index"] for e in events if e["event"] == "sample"] == [0, 1, 2, 3, 4, 5]
@@ -399,8 +403,7 @@ class TestRunSession:
         with pytest.raises(DegradedEnvironment):
             run_session(config, adapter)
         assert not (tmp_path / f"{MAC}.csv").exists()
-        log_path = tmp_path / f"{MAC.replace(':', '-')}.session.jsonl"
-        events = [json.loads(line) for line in log_path.read_text().splitlines()]
+        events = journal_events(tmp_path)
         assert [e["event"] for e in events] == ["session_start", "preflight"]
         assert events[1]["degraded"]
 
@@ -419,9 +422,7 @@ class TestRunSession:
     def test_session_log_written(self, tmp_path):
         config = sim_config(tmp_path, samples=2)
         run_session(config, VirtualAdapter.for_device(sim_device(), 0.0))
-        log_path = tmp_path / f"{MAC.replace(':', '-')}.session.jsonl"
-        lines = log_path.read_text().splitlines()
-        events = [json.loads(line) for line in lines]
+        events = journal_events(tmp_path)
         kinds = [e["event"] for e in events]
         assert kinds[0] == "session_start"
         assert "preflight" in kinds
@@ -467,8 +468,7 @@ class TestRunSession:
             run_session(config, BrokenSetup(config, probe=FakeProbe(tmp_path / "root")))
         assert gc.isenabled()
         assert torn_down == [True]
-        log_path = tmp_path / f"{MAC.replace(':', '-')}.session.jsonl"
-        events = [json.loads(line) for line in log_path.read_text().splitlines()]
+        events = journal_events(tmp_path)
         assert [e["event"] for e in events] == ["session_start", "preflight", "session_end"]
         assert events[-1]["rows_written"] == 0
 
@@ -510,7 +510,7 @@ class TestRunSession:
         assert re.fullmatch(r"sample 0: gpu-sim: delta \d{9} exceeds half the counter period; "
                             r"wrapped more than once or ran backwards", result.abort_reason)
         assert (tmp_path / f"{MAC}.csv").read_bytes() == kept
-        failed, end = result.log.events[-2:]
+        failed, end = journal_events(tmp_path)[-2:]
         assert failed == {"event": "sample", "index": 0, "ok": False,
                           "error": result.abort_reason.removeprefix("sample 0: ")}
         assert end["event"] == "session_end" and end["aborted"] and end["rows_written"] == 0
@@ -525,8 +525,7 @@ class TestRunSession:
             run_session(sim_config(tmp_path, samples=1), adapter)
         assert [adapter.registry.reader(s)() for s in ("cpu-sim", "gpu-sim")] == [0, 0]
         assert not (tmp_path / f"{MAC}.csv").exists()
-        log_path = tmp_path / f"{MAC.replace(':', '-')}.session.jsonl"
-        events = [json.loads(line) for line in log_path.read_text().splitlines()]
+        events = journal_events(tmp_path)
         assert [e["event"] for e in events] == ["session_start", "preflight", "session_end"]
 
     def test_session_replays_row_stream_across_block_boundary(self, tmp_path):
@@ -575,7 +574,7 @@ class TestTornTail:
             assert not result.aborted
             assert schema.read_dataset(work).n_samples == 3, cut
             assert (work / f"{MAC}.csv.torn").read_bytes() == csv_bytes[last_row:cut] + b"\n"
-            repaired = [e for e in result.log.events if e["event"] == "repaired_tail"]
+            repaired = [e for e in journal_events(work) if e["event"] == "repaired_tail"]
             assert repaired == [{"event": "repaired_tail", "file": f"{MAC}.csv",
                                  "kept_bytes": last_row, "torn_bytes": cut - last_row,
                                  "torn_file": f"{MAC}.csv.torn"}]
@@ -599,11 +598,10 @@ class TestTornTail:
         device = sim_device(seed=13)
         cost = model_vectors(device.model).sample_wallclock_s
         csv_bytes, _ = self.first_session(tmp_path, device)
-        result = run_session(sim_config(tmp_path, samples=1),
-                             VirtualAdapter.for_device(device, 3 * cost))
+        run_session(sim_config(tmp_path, samples=1), VirtualAdapter.for_device(device, 3 * cost))
         assert (tmp_path / f"{MAC}.csv").read_bytes().startswith(csv_bytes)
         assert not list(tmp_path.glob("*.torn"))
-        assert all(e["event"] != "repaired_tail" for e in result.log.events)
+        assert all(e["event"] != "repaired_tail" for e in journal_events(tmp_path))
 
     def test_foreign_header_refused(self, tmp_path):
         header = ",".join(schema.AGGREGATED_SCHEMA.columns) + "\n"
@@ -611,3 +609,65 @@ class TestTornTail:
         with pytest.raises(collector.SessionError, match="header"):
             run_session(sim_config(tmp_path, samples=1), VirtualAdapter.for_device(sim_device(), 0.0))
         assert (tmp_path / f"{MAC}.csv").read_text() == header
+
+
+class TestSharedFormat:
+    """Sessions read and append the dataset directory with the reader's rules."""
+
+    MAC = "02:ab:cd:00:00:01"
+
+    def run(self, directory, listed: str):
+        directory.mkdir(exist_ok=True)
+        (directory / "MAC-Model.txt").write_text(listed)
+        device = make_device(default_models()["RPi4like"], self.MAC, 7)
+        config = SessionConfig(self.MAC, "RPi4like", directory, samples_per_session=2)
+        return run_session(config, VirtualAdapter.for_device(device, 0.0))
+
+    def test_upper_case_mac_line_not_repeated(self, tmp_path):
+        listed = f"{self.MAC.upper()},RPi4like\n"
+        assert self.run(tmp_path, listed).rows_written == 2
+        assert (tmp_path / "MAC-Model.txt").read_text() == listed
+        ds = schema.read_dataset(tmp_path)
+        assert ds.devices == [schema.DeviceRecord(self.MAC, "RPi4like")]
+        assert ds.n_samples == 2
+
+    def test_space_after_comma(self, tmp_path):
+        listed = f"{self.MAC}, RPi4like\n"
+        result = self.run(tmp_path, listed)
+        assert not result.aborted and result.rows_written == 2
+        assert (tmp_path / "MAC-Model.txt").read_text() == listed
+        assert schema.read_dataset(tmp_path).n_samples == 2
+
+    def test_malformed_mac_model_refused_before_any_row(self, tmp_path):
+        with pytest.raises(schema.SchemaViolation, match="line 1: expected 'MAC,model'") as refused:
+            self.run(tmp_path, "garbage line\n")
+        with pytest.raises(schema.SchemaViolation) as unreadable:
+            schema.read_dataset(tmp_path)
+        assert str(refused.value) == str(unreadable.value)
+        assert (tmp_path / "MAC-Model.txt").read_text() == "garbage line\n"
+        assert not schema.csv_path(tmp_path, self.MAC).exists()
+
+    @pytest.mark.parametrize("model", ["RPi,4", "RPi\n4", "RPi\r4"])
+    def test_model_tag_with_separator_refused(self, tmp_path, model):
+        with pytest.raises(ValueError, match="invalid model tag"):
+            SessionConfig(self.MAC, model, tmp_path)
+
+    def test_sessions_write_what_write_dataset_writes(self, tmp_path):
+        """CSVs and MAC-Model.txt of a 3-device farm's sessions are the bytes
+        write_dataset gives for the same rows; journals are not compared."""
+        models = tuple((spec, 1) for spec, _ in simulator.default_farm_config().models[:3])
+        farm = simulator.make_farm(simulator.FarmConfig(models=models, master_seed=8))
+        start = 1_700_000_000.0
+        for device in farm:
+            config = SessionConfig(device.mac, device.model.model_name, tmp_path / "collected",
+                                   samples_per_session=6)
+            run_session(config, VirtualAdapter.for_device(device, start))
+        schema.write_dataset(simulator.simulate_dataset(farm, 6, start), tmp_path / "written")
+
+        def files(directory):
+            return {p.name: p.read_bytes() for p in directory.iterdir()
+                    if not p.name.endswith(".session.jsonl")}
+
+        written = files(tmp_path / "written")
+        assert len(written) == 4
+        assert files(tmp_path / "collected") == written

@@ -75,8 +75,8 @@ def advancing(gpu: FakeCounter, cpu: FakeCounter, amount: int):
 
 
 def sample_deltas(adapter) -> dict[str, float]:
-    sample = collect_sample(CONFIG, adapter, bracket_plan(adapter))
-    return dict(zip(FEATURE_COLUMNS, sample.values[FEATURE_OFFSET:].tolist()))
+    row = collect_sample(CONFIG, adapter, bracket_plan(adapter))
+    return dict(zip(FEATURE_COLUMNS, row[FEATURE_OFFSET:].tolist()))
 
 
 class TestSources:

@@ -15,7 +15,6 @@ from skewbench.schema import (
     Dataset,
     DatasetError,
     DeviceRecord,
-    SampleVector,
     SchemaViolation,
     aggregate_storage_matrix,
     format_rows,
@@ -454,31 +453,30 @@ def _storage_aggregates(block: np.ndarray) -> np.ndarray:
     return np.array([block.mean(), float(np.median(block)), block.min(), block.max()])
 
 
-def aggregate_storage_features(sample: SampleVector) -> SampleVector:
+def aggregate_storage_features(row: np.ndarray) -> np.ndarray:
     """Per-row oracle for aggregate_storage_matrix, over the fixed layout:
     storage reads in numeric columns 17-116, writes in 117-216."""
-    sample.validate()
-    vals = sample.values
-    reads = _storage_aggregates(vals[17:117])
-    writes = _storage_aggregates(vals[117:217])
-    return SampleVector(np.concatenate([vals[:17], reads, writes]), sample.label)
+    DEFAULT_SCHEMA.check_rows(row[None, :], "02:00:00:00:00:01")
+    reads = _storage_aggregates(row[17:117])
+    writes = _storage_aggregates(row[117:217])
+    return np.concatenate([row[:17], reads, writes])
 
 
 class TestStorageAggregation:
-    def make_sample(self, reads, writes) -> SampleVector:
+    def make_sample(self, reads, writes) -> np.ndarray:
         vals = np.empty(217)
         vals[0] = 1.6e9
         vals[1] = 45.0
         vals[2:17] = 1.0
         vals[17:117] = reads
         vals[117:217] = writes
-        return SampleVector(vals, "02:00:00:00:00:01")
+        return vals
 
     def test_sequence_1_to_100(self):
         s = self.make_sample(np.arange(1.0, 101.0), np.full(100, 7.0))
         out = aggregate_storage_features(s)
-        assert out.values.shape == (25,)
-        reads = out.values[17:21]
+        assert out.shape == (25,)
+        reads = out[17:21]
         assert reads[0] == pytest.approx(50.5)
         assert reads[1] == pytest.approx(50.5)  # mean of 50th and 51st order stats
         assert reads[2] == 1.0
@@ -487,15 +485,14 @@ class TestStorageAggregation:
     def test_constant_block(self):
         s = self.make_sample(np.full(100, 7.0), np.full(100, 7.0))
         out = aggregate_storage_features(s)
-        assert np.array_equal(out.values[17:21], [7.0, 7.0, 7.0, 7.0])
-        assert np.array_equal(out.values[21:25], [7.0, 7.0, 7.0, 7.0])
+        assert np.array_equal(out[17:21], [7.0, 7.0, 7.0, 7.0])
+        assert np.array_equal(out[21:25], [7.0, 7.0, 7.0, 7.0])
 
     def test_non_storage_columns_unchanged(self):
         rng = np.random.default_rng(5)
         s = self.make_sample(rng.uniform(1, 10, 100), rng.uniform(1, 10, 100))
         out = aggregate_storage_features(s)
-        assert np.array_equal(out.values[:17], s.values[:17])
-        assert out.label == s.label
+        assert np.array_equal(out[:17], s[:17])
 
     def test_matches_streaming_recomputation(self):
         # Independent oracle: recompute every aggregate with a direct loop.
@@ -517,8 +514,8 @@ class TestStorageAggregation:
             median = (ordered[49] + ordered[50]) / 2.0
             return [total / len(block), median, lo, hi]
 
-        assert np.allclose(out.values[17:21], oracle(list(reads)), rtol=1e-12)
-        assert np.allclose(out.values[21:25], oracle(list(writes)), rtol=1e-12)
+        assert np.allclose(out[17:21], oracle(list(reads)), rtol=1e-12)
+        assert np.allclose(out[21:25], oracle(list(writes)), rtol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.permutations(list(range(100))))
@@ -526,8 +523,8 @@ class TestStorageAggregation:
         base = np.linspace(1.0, 3.0, 100)
         s1 = self.make_sample(base, base)
         s2 = self.make_sample(base[perm], base[perm])
-        a = aggregate_storage_features(s1).values
-        b = aggregate_storage_features(s2).values
+        a = aggregate_storage_features(s1)
+        b = aggregate_storage_features(s2)
         assert np.allclose(a[17:], b[17:], rtol=1e-12)
 
     def test_matrix_level_matches_per_sample(self):
@@ -536,8 +533,7 @@ class TestStorageAggregation:
         rows = ds.samples[mac]
         mat = aggregate_storage_matrix(rows)
         for i in range(len(rows)):
-            per_sample = aggregate_storage_features(SampleVector(rows[i], mac))
-            assert np.allclose(mat[i], per_sample.values, rtol=1e-12)
+            assert np.allclose(mat[i], aggregate_storage_features(rows[i]), rtol=1e-12)
 
     def test_slices_match_layout(self):
         assert schema.STORAGE_READ_SLICE == slice(17, 117)

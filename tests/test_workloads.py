@@ -69,7 +69,7 @@ def measure_storage(adapter, kind_id: str) -> list[float]:
         else (None, lambda: None, itertools.count().__next__, 1 << 64, entry[-1])
         for binding, entry in zip(FEATURE_BINDINGS, collector.bracket_plan(adapter))
     ]
-    values = collector.collect_sample(adapter.config, adapter, plan).values[schema.FEATURE_OFFSET:]
+    values = collector.collect_sample(adapter.config, adapter, plan)[schema.FEATURE_OFFSET:]
     return [float(v) for binding, v in zip(FEATURE_BINDINGS, values) if binding.workload_id == kind_id]
 
 
