@@ -71,12 +71,10 @@ def build_matrix(
 ) -> FeatureMatrix:
     """Stack all samples into one labeled numeric matrix.
 
-    Timestamps are always dropped. Requires the full 218-column schema.
+    Timestamps are always dropped.
     """
     if label_kind not in ("mac", "model"):
         raise ValueError(f"label_kind must be mac or model, got {label_kind!r}")
-    if dataset.schema != schema.DEFAULT_SCHEMA:
-        raise ValueError("build_matrix requires the full (non-aggregated) schema")
     if dataset.n_samples == 0:
         raise ValueError("dataset has no samples")
 
@@ -534,9 +532,11 @@ def density_summary(
     ``model``, or the whole dataset) in 100 bins, so device histograms are
     directly comparable.
     """
-    column = dataset.schema.index(feature)
-    if column == len(dataset.schema.columns) - 1:
+    if feature == schema.LABEL_COLUMN:
         raise ValueError("label column has no density")
+    if feature not in schema.DEFAULT_SCHEMA.columns:
+        raise ValueError(f"unknown feature: {feature!r}")
+    column = schema.DEFAULT_SCHEMA.index(feature)
     selected = [
         dev for dev in dataset.devices if model is None or dev.model == model
     ]

@@ -194,9 +194,9 @@ def cmd_identify(args) -> int:
 
 def cmd_correlate(args) -> int:
     dataset = schema.read_dataset(args.dataset_dir)
-    macs = [args.mac] if args.mac else [dev.mac for dev in dataset.devices]
-    known = {dev.mac for dev in dataset.devices}
-    missing = set(macs) - known
+    known = [dev.mac for dev in dataset.devices]
+    macs = [schema.canonical_mac(args.mac)] if args.mac else known
+    missing = set(macs).difference(known)
     if missing:
         raise CommandError(f"no such device in dataset: {sorted(missing)}")
     matrix = analysis.build_matrix(dataset, "mac", include_temperature=True)
@@ -214,8 +214,7 @@ def cmd_density(args) -> int:
     summary = analysis.density_summary(dataset, args.feature, model=args.model)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    safe_name = args.feature.replace("/", "_")
-    with open(out_dir / f"density_{safe_name}.csv", "w", encoding="utf-8", newline="") as fh:
+    with open(out_dir / f"density_{args.feature}.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("mac,bin_index,bin_left,bin_right,count\n")
         edges = summary.bin_edges
         for device in summary.devices:
@@ -225,7 +224,7 @@ def cmd_density(args) -> int:
                     f"{schema.format_value(edges[b + 1])},{int(count)}\n"
                 )
     _write_json(
-        out_dir / f"density_{safe_name}_stats.json",
+        out_dir / f"density_{args.feature}_stats.json",
         {
             "feature": args.feature,
             "model": args.model,
@@ -246,7 +245,7 @@ def cmd_inspect(args) -> int:
         models[dev.model] = models.get(dev.model, 0) + 1
     payload = {
         "directory": str(Path(args.dataset_dir)),
-        "schema_columns": dataset.schema.n_columns,
+        "schema_columns": schema.DEFAULT_SCHEMA.n_columns,
         "total_samples": dataset.n_samples,
         "devices": [
             {"mac": dev.mac, "model": dev.model, "samples": len(dataset.rows(dev.mac))}

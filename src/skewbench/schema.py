@@ -3,9 +3,12 @@
 A dataset is a directory with one CSV file per device, named after the
 device MAC address, plus a ``MAC-Model.txt`` file mapping each MAC to its
 hardware model tag. Every CSV row is one sample: Unix timestamp, core
-temperature, 215 performance features, and the MAC label, in a fixed order
-of 218 columns. The feature columns, and the aggregated schema that collapses
-each storage kind's columns to four statistics, are derived from
+temperature, 215 performance features, and the MAC label, in the fixed order
+of :data:`DEFAULT_SCHEMA`'s 218 columns. That is the only file layout: a
+file's first line is either exactly its header or already a sample row, and
+the writer always puts the header first. The feature columns, and
+:data:`AGGREGATED_SCHEMA` (the in-memory identification layout that
+collapses each storage kind's columns to four statistics), are derived from
 :data:`skewbench.workloads.KINDS`, the one declaration of the workload kinds.
 
 This module alone knows the file layout and the row check; the collector
@@ -158,11 +161,14 @@ AGGREGATED_SCHEMA = FeatureSchema(
 assert DEFAULT_SCHEMA.n_columns == 218
 assert AGGREGATED_SCHEMA.n_columns == 26
 
-_KNOWN_SCHEMAS = {s.n_columns: s for s in (DEFAULT_SCHEMA, AGGREGATED_SCHEMA)}
-
 
 def is_valid_mac(mac: str) -> bool:
     return bool(_MAC_PATTERN.match(mac))
+
+
+def canonical_mac(mac: str) -> str:
+    """``mac`` as a dataset keys it: stripped and lower-cased."""
+    return mac.strip().lower()
 
 
 @dataclass(frozen=True)
@@ -173,7 +179,7 @@ class DeviceRecord:
     model: str
 
     def __post_init__(self):
-        object.__setattr__(self, "mac", self.mac.strip().lower())
+        object.__setattr__(self, "mac", canonical_mac(self.mac))
         object.__setattr__(self, "model", self.model.strip())
         if not is_valid_mac(self.mac):
             raise ValueError(f"not a MAC address: {self.mac!r}")
@@ -183,15 +189,14 @@ class DeviceRecord:
 
 @dataclass
 class Dataset:
-    """Devices plus per-device sample matrices in schema order.
+    """Devices plus per-device sample matrices in :data:`DEFAULT_SCHEMA` order.
 
-    ``samples`` maps each MAC to an ``(n, n_numeric)`` float64 array; the
-    label column is implied by the key.
+    ``samples`` maps each MAC to an ``(n, 217)`` float64 array; the label
+    column is implied by the key.
     """
 
     devices: list[DeviceRecord]
     samples: dict[str, np.ndarray]
-    schema: FeatureSchema = DEFAULT_SCHEMA
 
     def validate(self) -> None:
         macs = [d.mac for d in self.devices]
@@ -201,13 +206,13 @@ class Dataset:
         if unknown:
             raise SchemaViolation(f"samples for unknown devices: {sorted(unknown)}")
         for mac, rows in self.samples.items():
-            self.schema.check_rows(rows, mac)
+            DEFAULT_SCHEMA.check_rows(rows, mac)
             ts = rows[:, TIMESTAMP_INDEX]
             if np.any(np.diff(ts) < 0):
                 raise SchemaViolation(f"device {mac}: timestamps decrease")
 
     def rows(self, mac: str) -> np.ndarray:
-        return self.samples.get(mac, np.empty((0, self.schema.n_numeric)))
+        return self.samples.get(mac, np.empty((0, DEFAULT_SCHEMA.n_numeric)))
 
     @property
     def n_samples(self) -> int:
@@ -215,8 +220,7 @@ class Dataset:
 
     def equals(self, other: "Dataset") -> bool:
         return (
-            self.schema == other.schema
-            and self.devices == other.devices
+            self.devices == other.devices
             and set(self.samples) == set(other.samples)
             and all(np.array_equal(self.samples[m], other.samples[m]) for m in self.samples)
         )
@@ -274,8 +278,8 @@ def format_rows(rows: np.ndarray, label: str) -> str:
     cells all pass that test is printed with one format string, ``%r`` for
     its timestamp and temperature and ``%d.0`` for each feature cell, and
     skips the shortest-round-trip search for the counts. Every other row
-    (the aggregated schema's means and medians, hand-made data) takes
-    ``repr`` cell by cell. Both give the same bytes.
+    (hand-made data, for one) takes ``repr`` cell by cell. Both give the
+    same bytes.
     """
     rows = np.asarray(rows, dtype=np.float64)
     tail = f",{label}\n"
@@ -313,7 +317,7 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
             path = csv_path(directory, dev.mac)
             rows = dataset.rows(dev.mac)
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(dataset.schema.header + "\n" + format_rows(rows, dev.mac))
+                fh.write(DEFAULT_SCHEMA.header + "\n" + format_rows(rows, dev.mac))
             written.append(str(path))
     except OSError as exc:
         raise DatasetWriteError(
@@ -321,66 +325,52 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
         ) from exc
 
 
-def _detect_schema(first_cells: list[str], path: Path) -> tuple[FeatureSchema, bool]:
-    """Return (schema, header_present). Header is detected by the first cell."""
-    if first_cells[0] == "timestamp":
-        for schema in _KNOWN_SCHEMAS.values():
-            if tuple(first_cells) == schema.columns:
-                return schema, True
-        raise SchemaViolation(f"{path}: header does not match any known schema")
-    schema = _KNOWN_SCHEMAS.get(len(first_cells))
-    if schema is None:
+def _parse_row(cells: list[str], mac: str, path: Path, lineno: int) -> np.ndarray:
+    columns = DEFAULT_SCHEMA.columns
+    if len(cells) != len(columns):
         raise SchemaViolation(
-            f"{path}: row 1 has {len(first_cells)} columns; expected one of "
-            f"{sorted(_KNOWN_SCHEMAS)}"
-        )
-    return schema, False
-
-
-def _parse_row(cells: list[str], schema: FeatureSchema, mac: str, path: Path, lineno: int) -> np.ndarray:
-    if len(cells) != schema.n_columns:
-        raise SchemaViolation(
-            f"{path}: row {lineno}: expected {schema.n_columns} columns, got {len(cells)}"
+            f"{path}: row {lineno}: expected {len(columns)} columns, got {len(cells)}"
         )
     if cells[-1].lower() != mac:
         raise SchemaViolation(
             f"{path}: row {lineno}: label {cells[-1]!r} does not match device MAC {mac}"
         )
-    out = np.empty(schema.n_numeric)
+    out = np.empty(DEFAULT_SCHEMA.n_numeric)
     for i, cell in enumerate(cells[:-1]):
         try:
             out[i] = float(cell)
         except ValueError:
             raise CellParseError(
-                f"{path}: row {lineno}: column {schema.columns[i]!r}: "
-                f"not numeric: {cell!r}"
+                f"{path}: row {lineno}: column {columns[i]!r}: not numeric: {cell!r}"
             ) from None
         if not math.isfinite(out[i]):
             raise SchemaViolation(
-                f"{path}: row {lineno}: column {schema.columns[i]!r}: non-finite value"
+                f"{path}: row {lineno}: column {columns[i]!r}: non-finite value"
             )
     return out
 
 
-def _read_device_csv(path: Path, mac: str) -> tuple[np.ndarray | None, FeatureSchema | None]:
+def _read_device_csv(path: Path, mac: str) -> np.ndarray:
+    """The rows of one device file. A first line whose first cell is
+    ``timestamp`` must be the whole header; any other first line is a row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = [ln.rstrip("\r\n") for ln in fh if ln.strip()]
-    if not lines:
-        return None, None
-    schema, has_header = _detect_schema(lines[0].split(","), path)
-    data_lines = lines[1:] if has_header else lines
-    rows = _parse_rows_fast(data_lines, schema, mac)
+    start = 1
+    if lines and lines[0].partition(",")[0] == "timestamp":
+        if lines[0] != DEFAULT_SCHEMA.header:
+            raise SchemaViolation(f"{path}: header does not match any known schema")
+        lines, start = lines[1:], 2
+    rows = _parse_rows_fast(lines, mac)
     if rows is None:
         # Some row is malformed: parse row by row so the first bad row, in
         # file order, raises the error _parse_row defines for it.
-        rows = np.empty((len(data_lines), schema.n_numeric))
-        start = 2 if has_header else 1
-        for i, line in enumerate(data_lines):
-            rows[i] = _parse_row(line.split(","), schema, mac, path, start + i)
-    return rows, schema
+        rows = np.empty((len(lines), DEFAULT_SCHEMA.n_numeric))
+        for i, line in enumerate(lines):
+            rows[i] = _parse_row(line.split(","), mac, path, start + i)
+    return rows
 
 
-def _parse_rows_fast(lines: list[str], schema: FeatureSchema, mac: str) -> np.ndarray | None:
+def _parse_rows_fast(lines: list[str], mac: str) -> np.ndarray | None:
     """All rows in one call of numpy's C text reader, or None if any row
     fails a check or holds a cell the reader and ``float`` might disagree on.
 
@@ -389,7 +379,7 @@ def _parse_rows_fast(lines: list[str], schema: FeatureSchema, mac: str) -> np.nd
     digits); those files go to the row-by-row parse, which reads them as
     ``float`` does.
     """
-    commas = schema.n_columns - 1
+    commas = DEFAULT_SCHEMA.n_columns - 1
     if not all(ln.count(",") == commas and ln.rpartition(",")[2].lower() == mac for ln in lines):
         return None
     if any(c in ln for ln in lines for c in _LOADTXT_ONLY_SPACES):
@@ -413,25 +403,12 @@ def read_dataset(directory: str | Path) -> Dataset:
     if not mac_model.exists():
         raise DatasetError(f"missing {MAC_MODEL_FILENAME} in {directory}")
     devices = list(read_mac_model(mac_model).values())
-
-    schema: FeatureSchema | None = None
-    samples: dict[str, np.ndarray] = {}
+    samples = {}
     for dev in devices:
         path = csv_path(directory, dev.mac)
-        if not path.exists():
-            continue
-        rows, file_schema = _read_device_csv(path, dev.mac)
-        if file_schema is not None:
-            if schema is not None and file_schema != schema:
-                raise SchemaViolation(f"{path}: schema differs from other files in {directory}")
-            schema = file_schema
-        if rows is not None:
-            samples[dev.mac] = rows
-
-    resolved = schema or DEFAULT_SCHEMA
-    for dev in devices:
-        samples.setdefault(dev.mac, np.empty((0, resolved.n_numeric)))
-    dataset = Dataset(devices, samples, resolved)
+        samples[dev.mac] = (_read_device_csv(path, dev.mac) if path.exists()
+                            else np.empty((0, DEFAULT_SCHEMA.n_numeric)))
+    dataset = Dataset(devices, samples)
     dataset.validate()
     return dataset
 

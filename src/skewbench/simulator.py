@@ -435,10 +435,6 @@ def _from_json(hint, value: object, what: str):
                      f"got {type(value).__name__}")
 
 
-def model_spec_from_json(obj: object) -> DeviceModelSpec:
-    return _from_json(DeviceModelSpec, obj, "model spec")
-
-
 @dataclass(frozen=True)
 class _ModelEntry:
     """The JSON form of one ``FarmConfig.models`` item."""

@@ -293,6 +293,16 @@ class TestAnalysisCommands:
                      "--mac", "02:ff:ff:ff:ff:ff"])
         assert code == 1
 
+    def test_correlate_mac_case_insensitive(self, tmp_path, tiny_farm_config):
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", str(tiny_farm_config), "--out", str(data),
+                     "--samples-per-device", "40"]) == 0
+        mac = schema.read_dataset(data).devices[-1].mac
+        out = tmp_path / "corr"
+        assert main(["correlate", str(data), "--out", str(out), "--mac", f" {mac.upper()} "]) == 0
+        report = json.loads((out / "correlation_report.json").read_text())
+        assert list(report["devices"]) == [mac]
+
     def test_density_outputs(self, tmp_path, tiny_dataset_dir):
         out = tmp_path / "density"
         code = main([
@@ -306,10 +316,13 @@ class TestAnalysisCommands:
         lines = (out / "density_cpu_sleep_120s.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 100
 
-    def test_density_unknown_feature(self, tmp_path, tiny_dataset_dir):
-        code = main(["density", str(tiny_dataset_dir), "--out", str(tmp_path / "x"),
-                     "--feature", "not_a_feature"])
-        assert code == 1
+    def test_density_unknown_feature(self, tmp_path, tiny_dataset_dir, capsys):
+        for feature in ("not_a_feature", "cpu/fib"):
+            code = main(["density", str(tiny_dataset_dir), "--out", str(tmp_path / "x"),
+                         "--feature", feature])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: unknown feature: {feature!r}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_inspect(self, tmp_path, tiny_dataset_dir, capsys):
         code = main(["inspect", str(tiny_dataset_dir), "--out", str(tmp_path / "report")])

@@ -407,7 +407,6 @@ class TestReaderParity:
     def test_header_only_file(self, tmp_path):
         mac = write_device_csv(tmp_path, good_lines()[:1])
         ds = read_dataset(tmp_path)
-        assert ds.schema == DEFAULT_SCHEMA
         assert ds.rows(mac).shape == (0, 217)
         assert ds.n_samples == 0
 
@@ -539,12 +538,19 @@ class TestStorageAggregation:
         assert schema.STORAGE_READ_SLICE == slice(17, 117)
         assert schema.STORAGE_WRITE_SLICE == slice(117, 217)
 
-    def test_aggregated_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("header", [True, False],
+                             ids=["26-column header", "26 columns, no header"])
+    def test_aggregated_file_refused(self, tmp_path, header):
+        """The aggregated layout is in-memory only; no file may use it."""
         ds = make_dataset(n_devices=1, n_samples=3, seed=2)
         mac = ds.devices[0].mac
-        agg_rows = aggregate_storage_matrix(ds.samples[mac])
-        agg = Dataset(ds.devices, {mac: agg_rows}, AGGREGATED_SCHEMA)
-        write_dataset(agg, tmp_path)
-        back = read_dataset(tmp_path)
-        assert back.schema == AGGREGATED_SCHEMA
-        assert back.equals(agg)
+        lines = format_rows(aggregate_storage_matrix(ds.samples[mac]), mac).splitlines()
+        if header:
+            lines.insert(0, AGGREGATED_SCHEMA.header)
+        write_device_csv(tmp_path, lines)
+        with pytest.raises(SchemaViolation) as info:
+            read_dataset(tmp_path)
+        message = str(info.value)
+        assert message.startswith(f"{tmp_path / '02:00:00:00:00:00.csv'}: ")
+        if not header:
+            assert message.endswith(": row 1: expected 218 columns, got 26")

@@ -70,7 +70,7 @@ def farm_dataset(config: FarmConfig) -> schema.Dataset:
 
 
 def model_spec_to_json(spec: DeviceModelSpec) -> dict:
-    """Oracle for model_spec_from_json: every field of ``spec`` as JSON."""
+    """Oracle for a model spec's JSON form: every field of ``spec``."""
     return {
         "model_name": spec.model_name,
         "cpu_freq_hz": spec.cpu_freq_hz,
@@ -378,7 +378,9 @@ class TestConfigJson:
             "gpu_freq_hz": 4e8,
             "op_duration_ns": {k: 1000.0 for k in simulator.NON_SLEEP_KINDS},
         }
-        spec = simulator.model_spec_from_json(obj)
+        config = farm_config_from_json({"models": [{"count": 1, "spec": obj}]})
+        ((spec, count),) = config.models
+        assert count == 1
         assert spec.skew_sigma_ppm == 200.0
         assert spec.jitter_sigma == 5e-4
 
