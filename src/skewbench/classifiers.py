@@ -6,6 +6,10 @@ impurity), and a bootstrap-aggregated random forest. All are deterministic
 under their seed; vote and leaf-majority ties resolve to the lowest class
 code, split ties to the first candidate feature drawn and the lowest
 threshold.
+
+Each forest tree fits on the distinct rows of its bootstrap, weighted by
+how often each was drawn, and grows exactly the tree the bootstrap's
+repeated rows would. kNN computes its distances in blocks of 2 MiB.
 """
 
 from __future__ import annotations
@@ -28,7 +32,12 @@ def _check_tree_params(max_depth: int | None, min_samples_leaf: int) -> None:
 
 
 class KNearestNeighbors:
-    """Plain Euclidean kNN with majority vote."""
+    """Plain Euclidean kNN with majority vote.
+
+    Squared distances are ``|a|^2 - 2 a.b + |b|^2``, built in place one
+    block of 2**18 distances (2 MiB) at a time, so a block stays in cache
+    and memory does not grow with the query count.
+    """
 
     def __init__(self, k: int = 7):
         if k < 1:
@@ -47,14 +56,15 @@ class KNearestNeighbors:
         n_classes = len(self.classes_)
         train_sq = np.einsum("ij,ij->i", self._X, self._X)
         out = np.empty(len(X), dtype=int)
-        chunk = max(1, 2**22 // max(len(self._X), 1))
+        chunk = max(1, 2**18 // max(len(self._X), 1))
         for start in range(0, len(X), chunk):
             block = X[start : start + chunk]
-            d2 = (
-                np.einsum("ij,ij->i", block, block)[:, None]
-                - 2.0 * block @ self._X.T
-                + train_sq[None, :]
-            )
+            # Scaling by -2.0 is exact and a + (-y) is a - y in IEEE
+            # arithmetic, so these bits equal |a|^2 - 2 a.b + |b|^2.
+            d2 = block @ self._X.T
+            d2 *= -2.0
+            np.add(np.einsum("ij,ij->i", block, block)[:, None], d2, out=d2)
+            d2 += train_sq
             nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
             votes = np.zeros((len(block), n_classes), dtype=int)
             rows = np.repeat(np.arange(len(block)), k)
@@ -67,11 +77,13 @@ class DecisionTree:
     """Exact CART with Gini impurity; grows until pure unless depth-limited.
 
     Every threshold between two distinct values of every candidate feature
-    is scored. Each node sorts its block of candidate columns once, and the
-    Gini sums of squared class counts come from integer running sums over
-    each sample's rank within its class, so a node costs one sort of an
-    n_node x candidates block plus O(n_node * candidates) integer work,
-    with no one-hot class counts.
+    is scored. Rows carry integer weights: a row of weight w counts as w
+    equal rows, so a forest tree fits on its bootstrap's distinct rows and
+    grows the same tree as on the repeated ones. Each node sorts its block
+    of candidate columns once, and the Gini sums of squared class counts
+    come from exact integer running sums over the sorted weights, so a node
+    costs one sort of an n_node x candidates block plus
+    O(n_node * candidates) integer work, with no one-hot class counts.
     """
 
     def __init__(
@@ -93,15 +105,18 @@ class DecisionTree:
     def fit(self, X, y) -> "DecisionTree":
         X = np.asarray(X, dtype=np.float64)
         self.classes_, codes = _encode_labels(y)
-        self._fit_codes(X, codes, len(self.classes_))
+        self._fit_codes(X, codes, np.ones(len(X), dtype=np.int64), len(self.classes_))
         return self
 
-    def _fit_codes(self, X: np.ndarray, codes: np.ndarray, n_classes: int) -> None:
-        self._n_classes = n_classes
+    def _fit_codes(
+        self, X: np.ndarray, codes: np.ndarray, weight: np.ndarray, n_classes: int
+    ) -> None:
+        """Grow the tree on rows ``X`` with class ``codes``; a row of integer
+        ``weight`` w splits, stops and votes as w copies of it would."""
         rng = np.random.default_rng(self.seed)
         n, d = X.shape
         m = self.max_features or d
-        positions = np.arange(n)[:, None]
+        min_leaf = self.min_samples_leaf
         columns = np.arange(min(m, d))
         # narrow class codes let the stable class sort below run as a radix sort
         codes = codes.astype(np.min_scalar_type(n_classes - 1))
@@ -120,55 +135,60 @@ class DecisionTree:
             leaf_value.append(-1)
             return len(feature) - 1
 
-        def make_leaf(node: int, y_node: np.ndarray) -> None:
-            leaf_value[node] = int(np.bincount(y_node, minlength=n_classes).argmax())
-
         root = new_node()
         stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
         while stack:
             node, idx, depth = stack.pop()
             y_node = codes[idx]
-            n_node = len(idx)
-            first = y_node[0]
+            w_node = weight[idx]
+            counts = np.bincount(y_node, w_node, n_classes).astype(np.int64)
+            n_node = int(counts.sum())
             if (
-                n_node < 2 * self.min_samples_leaf
+                n_node < 2 * min_leaf
                 or (self.max_depth is not None and depth >= self.max_depth)
-                or np.all(y_node == first)
+                or counts.max() == n_node
             ):
-                make_leaf(node, y_node)
+                leaf_value[node] = int(counts.argmax())
                 continue
 
             candidates = rng.choice(d, size=min(m, d), replace=False) if m < d else np.arange(d)
             block = X[idx[:, None], candidates]
             # Scores are read only between distinct values, where the class
             # counts on each side do not depend on how equal values were
-            # ordered, so this sort need not be stable.
-            order = np.argsort(block, axis=0)
+            # ordered, so this sort need not be stable, and the tree does
+            # not depend on the order of the rows.
+            order = block.argsort(axis=0)
             xs_sorted = block[order, columns]
             valid = xs_sorted[:-1] < xs_sorted[1:]
-            # rank: each sorted sample's rank among the earlier samples of its
-            # class. Moving a sample of rank r to the left side raises the
-            # left sum of squared class counts by 2r + 1; the right sum is
-            # sum(counts^2) - 2 sum(counts * left_counts) + left sum. Both are
-            # exact integers, so every score is exact.
+            # before: the weight of the earlier sorted samples of the same
+            # class. Moving a sample of weight w with `before` l to the left
+            # side raises the left sum of squared class counts by w(2l + w);
+            # the right sum is sum(counts^2) - 2 sum(counts * left_counts) +
+            # left sum. Both are exact integers, so every score is exact.
             ys = y_node[order]
-            counts = np.bincount(y_node, minlength=n_classes)
-            by_class = np.argsort(ys, axis=0, kind="stable")
-            class_start = np.cumsum(counts) - counts
-            rank = np.empty(ys.shape, dtype=np.int64)
-            rank[by_class, columns] = positions[:n_node] - class_start[ys[by_class, columns]]
+            ws = w_node[order]
+            by_class = ys.argsort(axis=0, kind="stable")
+            class_start = counts.cumsum() - counts
+            ws_by_class = ws[by_class, columns]
+            by_class_before = ws_by_class.cumsum(axis=0)
+            by_class_before -= ws_by_class
+            # every column holds y_node's classes, so in class order all
+            # columns share column 0's class sequence
+            by_class_before -= class_start[ys[by_class[:, 0], 0]][:, None]
+            before = np.empty_like(ws)
+            before[by_class, columns] = by_class_before
+            ws = ws[:-1]
             sum_sq = int(np.square(counts).sum())
-            left_sq = np.cumsum(2 * rank[:-1] + 1, axis=0)
-            right_sq = sum_sq - 2 * np.cumsum(counts[ys[:-1]], axis=0) + left_sq
-            nl = np.arange(1, n_node, dtype=np.float64)[:, None]
+            left_sq = (ws * (2 * before[:-1] + ws)).cumsum(axis=0)
+            right_sq = sum_sq - 2 * (counts[ys[:-1]] * ws).cumsum(axis=0) + left_sq
+            nl = ws.cumsum(axis=0).astype(np.float64)
             nr = n_node - nl
             # weighted Gini in count units: n_side - sum(counts^2)/n_side
             score = nl - left_sq / nl + nr - right_sq / nr
             score[~valid] = np.inf
-            if self.min_samples_leaf > 1:
+            if min_leaf > 1:
                 # each side keeps at least min_samples_leaf samples
-                score[: self.min_samples_leaf - 1] = np.inf
-                score[n_node - self.min_samples_leaf :] = np.inf
+                score[(nl < min_leaf) | (nr < min_leaf)] = np.inf
             # the first minimum wins, within a feature and across candidates
             pos = score.argmin(axis=0)
             col = int(score[pos, columns].argmin())
@@ -177,7 +197,7 @@ class DecisionTree:
 
             parent_score = n_node - float(sum_sq) / n_node
             if best_score >= parent_score - 1e-12:
-                make_leaf(node, y_node)
+                leaf_value[node] = int(counts.argmax())
                 continue
 
             best_feature = int(candidates[col])
@@ -250,7 +270,10 @@ class RandomForest:
         self._trees: list[DecisionTree] = []
         for t in range(self.n_estimators):
             rng = np.random.default_rng(int(seeds[2 * t]))
-            sample = rng.integers(0, n, size=n)
+            # Fit on the bootstrap's distinct rows, each weighted by how
+            # often it was drawn: the same tree, with ~37% fewer rows to sort.
+            weight = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            rows = np.flatnonzero(weight)
             tree = DecisionTree(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
@@ -258,7 +281,7 @@ class RandomForest:
                 seed=int(seeds[2 * t + 1]),
             )
             tree.classes_ = self.classes_
-            tree._fit_codes(X[sample], codes[sample], n_classes)
+            tree._fit_codes(X[rows], codes[rows], weight[rows], n_classes)
             self._trees.append(tree)
         return self
 

@@ -8,8 +8,8 @@ device reboot would. Rows are written atomically (one write plus flush per
 sample), so a killed session always leaves a parseable file; the session
 journal is streamed the same way, one flushed line per event. A row torn by
 power loss mid-write is cut off at the next session start and kept in
-``<file>.torn`` (the same for ``MAC-Model.txt``), and a session appends only
-to a CSV whose header is the 218-column schema.
+``<file>.torn`` (the same for ``MAC-Model.txt`` and the journal), and a
+session appends only to a CSV whose header is the 218-column schema.
 
 File names, header, ``MAC-Model.txt`` parser and line, and the row check
 are :mod:`skewbench.schema`'s, so a session appends what ``read_dataset``
@@ -476,15 +476,16 @@ def _ensure_mac_model_entry(path: Path, device: schema.DeviceRecord) -> None:
         )
 
 
-def _repair_torn_tail(path: Path, log: SessionLog) -> None:
+def _repair_torn_tail(path: Path) -> dict | None:
     """Cut ``path`` back to its last newline if a write was torn there.
 
     The cut bytes are appended, as one line, to ``<name>.torn`` beside it,
-    and a ``repaired_tail`` event is journaled. Appending to a torn file
-    would glue the next row onto the fragment and make the file unreadable.
+    and the payload of the ``repaired_tail`` event to journal is returned
+    (``None`` when nothing was cut). Appending to a torn file would glue the
+    next line onto the fragment and make the file unreadable.
     """
     if not path.exists():
-        return
+        return None
     with open(path, "rb+") as fh:
         end = fh.seek(0, os.SEEK_END)
         keep = pos = end
@@ -497,7 +498,7 @@ def _repair_torn_tail(path: Path, log: SessionLog) -> None:
                 break
             pos = keep = start
         if keep == end:
-            return
+            return None
         fh.seek(keep)
         fragment = fh.read()
         torn = path.with_name(path.name + ".torn")
@@ -508,8 +509,7 @@ def _repair_torn_tail(path: Path, log: SessionLog) -> None:
         fh.truncate(keep)
         fh.flush()
         os.fsync(fh.fileno())
-    log.add("repaired_tail", file=path.name, kept_bytes=keep, torn_bytes=end - keep,
-            torn_file=torn.name)
+    return dict(file=path.name, kept_bytes=keep, torn_bytes=end - keep, torn_file=torn.name)
 
 
 def _check_header(csv_path: Path) -> None:
@@ -538,11 +538,16 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
     config.working_dir.mkdir(parents=True, exist_ok=True)
     csv_path = schema.csv_path(config.working_dir, config.device_mac)
     mac_model = config.working_dir / schema.MAC_MODEL_FILENAME
-    log = SessionLog(schema.journal_path(config.working_dir, config.device_mac))
+    journal = schema.journal_path(config.working_dir, config.device_mac)
+    # Before the first event, or session_start is glued onto a torn line.
+    journal_repair = _repair_torn_tail(journal)
+    log = SessionLog(journal)
     try:
         log.add("session_start", mac=config.device_mac, model=config.device_model,
                 samples_per_session=config.samples_per_session, seed=config.seed,
                 virtual=adapter.is_virtual, started_at=adapter.now())
+        if journal_repair is not None:
+            log.add("repaired_tail", **journal_repair)
 
         report = adapter.preflight()
         log.add("preflight", checks=report.to_json(), degraded=report.degraded)
@@ -566,10 +571,12 @@ def run_session(config: SessionConfig, adapter=None, progress=None) -> SessionRe
             for observer_id in sorted({entry[-1] for entry in plan}):
                 log.add("bracket_overhead", **adapter.registry.measure_overhead(observer_id))
 
-            _repair_torn_tail(mac_model, log)
+            if (repair := _repair_torn_tail(mac_model)) is not None:
+                log.add("repaired_tail", **repair)
             device = schema.DeviceRecord(config.device_mac, config.device_model)
             _ensure_mac_model_entry(mac_model, device)
-            _repair_torn_tail(csv_path, log)
+            if (repair := _repair_torn_tail(csv_path)) is not None:
+                log.add("repaired_tail", **repair)
             new_file = not csv_path.exists() or csv_path.stat().st_size == 0
             if not new_file:
                 _check_header(csv_path)

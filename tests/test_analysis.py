@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,10 +28,11 @@ from skewbench.analysis import (
     split,
     train_classifier,
 )
-from skewbench.classifiers import DecisionTree, RandomForest
+from skewbench.classifiers import DecisionTree, KNearestNeighbors, RandomForest
 from skewbench.simulator import (
     FarmConfig,
     TempProfile,
+    default_farm_config,
     default_models,
     make_farm,
     simulate_dataset,
@@ -148,6 +150,53 @@ def reference_fit_codes(self, X: np.ndarray, codes: np.ndarray, n_classes: int) 
     self._left = np.array(left)
     self._right = np.array(right)
     self._leaf_value = np.array(leaf_value)
+
+
+def reference_forest_fit(forest: RandomForest, X, y) -> RandomForest:
+    """RandomForest.fit on repeated rows: each tree grows with
+    reference_fit_codes on its whole bootstrap ``X[sample]``, the reference
+    for the forest's fit on distinct weighted rows."""
+    X = np.asarray(X, dtype=np.float64)
+    forest.classes_, codes = np.unique(np.asarray(y), return_inverse=True)
+    n, d = X.shape
+    seeds = np.random.SeedSequence(forest.seed).generate_state(2 * forest.n_estimators, np.uint64)
+    forest._trees = []
+    for t in range(forest.n_estimators):
+        sample = np.random.default_rng(int(seeds[2 * t])).integers(0, n, size=n)
+        tree = DecisionTree(
+            max_depth=forest.max_depth,
+            min_samples_leaf=forest.min_samples_leaf,
+            max_features=max(1, int(np.sqrt(d))),
+            seed=int(seeds[2 * t + 1]),
+        )
+        tree.classes_ = forest.classes_
+        reference_fit_codes(tree, X[sample], codes[sample], len(forest.classes_))
+        forest._trees.append(tree)
+    return forest
+
+
+def reference_knn_predict(model: KNearestNeighbors, X) -> np.ndarray:
+    """KNearestNeighbors.predict with the distances written out as one
+    expression per block of 2**22: the reference for the in-place blocks."""
+    X = np.asarray(X, dtype=np.float64)
+    k = min(model.k, len(model._X))
+    n_classes = len(model.classes_)
+    train_sq = np.einsum("ij,ij->i", model._X, model._X)
+    out = np.empty(len(X), dtype=int)
+    chunk = max(1, 2**22 // max(len(model._X), 1))
+    for start in range(0, len(X), chunk):
+        block = X[start : start + chunk]
+        d2 = (
+            np.einsum("ij,ij->i", block, block)[:, None]
+            - 2.0 * block @ model._X.T
+            + train_sq[None, :]
+        )
+        nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        votes = np.zeros((len(block), n_classes), dtype=int)
+        rows = np.repeat(np.arange(len(block)), k)
+        np.add.at(votes, (rows, model._codes[nearest].ravel()), 1)
+        out[start : start + chunk] = votes.argmax(axis=1)
+    return model.classes_[out]
 
 
 TREE_ARRAYS = ("_feature", "_threshold", "_left", "_right", "_leaf_value")
@@ -550,14 +599,71 @@ class TestTreeMatchesReference:
         reference_fit_codes(reference, X, codes, int(codes.max()) + 1)
         assert_same_tree(tree, reference)
 
-    def test_forest_trees_equal_on_fleet(self, monkeypatch):
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_tree_case(), st.data())
+    def test_weighted_rows_equal_repeated_rows(self, case, data):
+        rows, labels, scale, params = case
+        weight = np.asarray(data.draw(
+            st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)), label="weight"))
+        repeated = np.repeat(np.arange(len(rows)), weight)
+        repeated = repeated[data.draw(st.permutations(range(len(repeated))), label="order")]
+        X = np.asarray(rows, dtype=np.float64) * scale
+        codes = np.unique(labels, return_inverse=True)[1]
+        n_classes = int(codes.max()) + 1
+        tree = DecisionTree(**params)
+        tree._fit_codes(X, codes, weight, n_classes)
+        reference = DecisionTree(**params)
+        reference_fit_codes(reference, X[repeated], codes[repeated], n_classes)
+        assert_same_tree(tree, reference)
+
+    def test_forest_trees_equal_on_fleet(self):
         m = identification_matrix(tiny_dataset(n_devices=6, n_samples=40))
-        forest = RandomForest(n_estimators=3, seed=11).fit(m.values, m.labels)
-        monkeypatch.setattr(DecisionTree, "_fit_codes", reference_fit_codes)
-        reference = RandomForest(n_estimators=3, seed=11).fit(m.values, m.labels)
-        for tree, reference_tree in zip(forest._trees, reference._trees, strict=True):
-            assert_same_tree(tree, reference_tree)
-        assert np.array_equal(forest.predict(m.values), reference.predict(m.values))
+        for min_samples_leaf in (1, 2, 3):
+            for max_depth in (None, 4):
+                params = dict(n_estimators=3, max_depth=max_depth,
+                              min_samples_leaf=min_samples_leaf, seed=11)
+                forest = RandomForest(**params).fit(m.values, m.labels)
+                reference = reference_forest_fit(RandomForest(**params), m.values, m.labels)
+                for tree, reference_tree in zip(forest._trees, reference._trees, strict=True):
+                    assert_same_tree(tree, reference_tree)
+                assert np.array_equal(forest.predict(m.values), reference.predict(m.values))
+
+
+class TestKnnMatchesReference:
+    @pytest.mark.parametrize("values", ["uniform", "ties"])
+    def test_predictions_equal_across_blocks(self, values):
+        # 600 queries against 1,000 training rows cross three distance blocks
+        rng = np.random.default_rng(23)
+        X = rng.random((1600, 24))
+        if values == "ties":
+            X = rng.integers(0, 4, X.shape) / 4.0
+        labels = rng.integers(0, 12, 1600)
+        model = KNearestNeighbors(k=7).fit(X[:1000], labels[:1000])
+        assert np.array_equal(model.predict(X[1000:]), reference_knn_predict(model, X[1000:]))
+
+    @pytest.mark.parametrize("seed", [1, 1009])
+    def test_predictions_equal_on_fleet(self, seed):
+        config = default_farm_config(master_seed=seed, samples_per_device=200)
+        dataset = simulate_dataset(make_farm(config), config.samples_per_device, config.start_time)
+        train, test = split(identification_matrix(dataset), 0.8, seed=seed)
+        normalized_train, params = minmax_fit_transform(train)
+        queries = minmax_apply(test, params).values
+        model = KNearestNeighbors(k=7).fit(normalized_train.values, normalized_train.labels)
+        assert np.array_equal(model.predict(queries), reference_knn_predict(model, queries))
+
+    def test_predict_memory_bounded(self):
+        rng = np.random.default_rng(5)
+        model = KNearestNeighbors(k=7).fit(rng.random((7200, 24)), rng.integers(0, 45, 7200))
+        queries = rng.random((1800, 24))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model.predict(queries)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # a 36 x 7,200 distance block is ~2 MiB: the trace sees numpy buffers
+        assert 2**20 < peak < 8 * 2**20
 
 
 def kfold_macro_f1(m: FeatureMatrix, kind: str, folds: int, seed: int) -> list[float]:

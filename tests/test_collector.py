@@ -594,6 +594,32 @@ class TestTornTail:
             assert schema.read_dataset(work).n_samples == 4
             assert (work / "MAC-Model.txt.torn").read_bytes() == other[:cut] + b"\n"
 
+    def test_every_cut_inside_last_journal_line(self, tmp_path):
+        device = sim_device(seed=13)
+        cost = model_vectors(device.model).sample_wallclock_s
+        csv_bytes, mac_model = self.first_session(tmp_path / "base", device)
+        journal_name = schema.journal_path(tmp_path, MAC).name
+        journal = (tmp_path / "base" / journal_name).read_bytes()
+        last_line = journal.rstrip(b"\n").rfind(b"\n") + 1
+        work = tmp_path / "work"
+        for cut in range(last_line + 1, len(journal)):
+            shutil.rmtree(work, ignore_errors=True)
+            work.mkdir()
+            (work / f"{MAC}.csv").write_bytes(csv_bytes)
+            (work / "MAC-Model.txt").write_bytes(mac_model)
+            (work / journal_name).write_bytes(journal[:cut])
+            run_session(sim_config(work, samples=1), VirtualAdapter.for_device(device, 3 * cost))
+            assert (work / f"{journal_name}.torn").read_bytes() == journal[last_line:cut] + b"\n"
+            events = journal_events(work)  # every line parses
+            assert (work / journal_name).read_bytes().startswith(journal[:last_line]), cut
+            start = journal[:last_line].count(b"\n")
+            assert [e["event"] for e in events[start:start + 2]] == ["session_start", "repaired_tail"]
+            assert events[start + 1] == {"event": "repaired_tail", "file": journal_name,
+                                         "kept_bytes": last_line, "torn_bytes": cut - last_line,
+                                         "torn_file": f"{journal_name}.torn"}
+            assert events[-1]["event"] == "session_end"
+            assert schema.read_dataset(work).n_samples == 4
+
     def test_clean_file_untouched(self, tmp_path):
         device = sim_device(seed=13)
         cost = model_vectors(device.model).sample_wallclock_s
